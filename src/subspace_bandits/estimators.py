@@ -184,6 +184,32 @@ def draw_pair(probs: PairProbabilities, rng: np.random.Generator) -> tuple[int, 
     return pos // d, pos % d
 
 
+def draw_mbeg_pair(diag, alpha: float, k: int, rng: np.random.Generator) -> tuple[int, int, float]:
+    """Ordered pair (s, q) with the law of ``mbeg_pair_probs(diag, alpha, k)``, and its probability.
+
+    The table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 is the
+    mixture: with weight alpha a uniform pair; with weight (1-alpha)/2,
+    s proportional to W_ss and q uniform; with weight (1-alpha)/2, s uniform
+    and q proportional to W_qq.  Consumes exactly one ``rng.random(3)``
+    (branch, s, q) and costs O(d), with no table.  ``diag`` is the diagonal
+    of W, nonnegative and summing to k.
+    """
+    if not 0 <= alpha <= 0.5:
+        raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
+    d = diag.size
+    branch, u_s, u_q = rng.random(3).tolist()
+    s = min(int(u_s * d), d - 1)
+    q = min(int(u_q * d), d - 1)
+    if branch >= alpha:
+        cum = np.cumsum(diag)
+        if branch < 0.5 * (1 + alpha):
+            s = min(int(np.searchsorted(cum, u_s * cum[-1], side="right")), d - 1)
+        else:
+            q = min(int(np.searchsorted(cum, u_q * cum[-1], side="right")), d - 1)
+    p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * k) + alpha / d**2
+    return s, q, float(p)
+
+
 def mbeg_estimate(
     s: int, q: int, x_s: float, x_q: float, p: float, d: int | None = None
 ) -> SparseEstimate:

@@ -15,7 +15,8 @@ CLI subcommands:
   single-attribute marginal-identity check and the dyadic no-signal
   failure-rate run.
 
-Exit code 0 on success, 2 on configuration/usage errors.
+Exit code 0 on success, 1 when a ``run`` trial failed or the lower-bound
+demonstrations' verdict is UNEXPECTED, 2 on configuration/usage errors.
 """
 
 from __future__ import annotations
@@ -424,7 +425,7 @@ def run_lower_bound_demos(seed: int = 7, trials: int = 500, workers: int | None 
     ok = summary_a["exact_identical"] and summary_b["failure_fraction"] >= 0.75
     print("-" * 62)
     print("verdict:", "as predicted" if ok else "UNEXPECTED")
-    return 0
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +519,7 @@ def _cmd_run(args) -> int:
             )
     for rec in failed:
         print(f"trial (m={rec.m}, trial={rec.trial}) failed: {rec.error}", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 def _cmd_fixtures(args) -> int:

@@ -43,12 +43,11 @@ from .errors import (
     OddBudget,
 )
 from .estimators import (
+    draw_mbeg_pair,
     draw_uniform_indices,
     estimate_asym,
     estimate_sym,
     mbeg_estimate,
-    mbeg_pair_probs,
-    draw_pair,
     split_halves,
 )
 from .oracles import DistributionSpec, observe
@@ -292,7 +291,8 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     """Matrix bandit exponentiated gradient with non-uniform pair sampling.
 
     Supports attribute budget r = 2 only.  Each step draws an ordered pair
-    (s, q) from the iterate-weighted table, queries the oracle at (s, q),
+    (s, q) from the iterate-weighted mixture (``draw_mbeg_pair``, the law of
+    ``mbeg_pair_probs``), queries the oracle at (s, q),
     forms the importance-weighted estimate, applies the multiplicative update
     U = exp(log W + eta C_hat) and projects U's spectrum back onto the capped
     simplex in relative entropy.  The returned projector is sampled from the
@@ -316,28 +316,26 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
     d, k = spec.d, spec.k
     w = np.full(d, k / d)      # iterate spectrum
-    basis = np.eye(d)          # iterate eigenbasis
+    basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
     w_bar = np.zeros((d, d))
 
     for i in range(cfg.m):
-        w_bar += (basis * w) @ basis.T  # average runs over W_1 .. W_m, pre-update
-        diag = (basis**2) @ w
-        probs = mbeg_pair_probs(diag, alpha, k=k)
-        s, q = draw_pair(probs, rng)
+        w_now = (basis * w) @ basis.T
+        w_bar += w_now  # average runs over W_1 .. W_m, pre-update
+        s, q, p = draw_mbeg_pair(np.diagonal(w_now), alpha, k, rng)
         obs = observe(dist, (s, q), rng)
-        est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(probs.table[s, q]), d=d)
+        x_s, x_q = float(obs.values[0]), float(obs.values[1])
+        # the single term of mbeg_estimate(s, q, x_s, x_q, p)
+        v = x_s * x_q / p if s == q else x_s * x_q / (2 * p)
 
-        log_w = np.log(np.maximum(w, LOG_FLOOR))
-        m_update = (basis * log_w) @ basis.T
-        m_update = 0.5 * (m_update + m_update.T)
-        for a, b, v in est.terms:
-            m_update[a, b] += eta * v
-            if a != b:
-                m_update[b, a] += eta * v
-        eig = sym_eig(m_update)
-        mu = np.maximum(np.exp(eig.values), LOG_FLOOR)
-        w = entropic_project(mu, k)
-        basis = eig.vectors
+        m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+        m_update[s, q] += eta * v
+        if s != q:
+            m_update[q, s] += eta * v
+        # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
+        # projection maps tied values to tied values, so order is irrelevant.
+        vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+        w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
 
         trace_err = abs(float(w.sum()) - k)
         if trace_err > 1e-8 or w.min() < -1e-8 or w.max() > 1 + 1e-8:
@@ -346,15 +344,12 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 f"spectrum [{w.min():.6g}, {w.max():.6g}]"
             )
         if trace is not None:
-            x_s, x_q = float(obs.values[0]), float(obs.values[1])
-            p = float(probs.table[s, q])
-            norm = abs(x_s * x_q) / p if s == q else abs(x_s * x_q) / (2 * p)
             trace.steps.append(
                 StepDiagnostics(
                     step=i,
                     indices=(s, q),
-                    estimate_terms=est.terms,
-                    estimate_spectral_norm=norm,
+                    estimate_terms=mbeg_estimate(s, q, x_s, x_q, p, d=d).terms,
+                    estimate_spectral_norm=abs(v),
                     iterate_trace_error=trace_err,
                     iterate_min_eig=float(w.min()),
                     iterate_max_eig=float(w.max()),

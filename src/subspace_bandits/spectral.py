@@ -58,11 +58,9 @@ class EigenSystem:
 
 def _canonicalize_signs(vecs: np.ndarray) -> None:
     """Flip each column so its first non-negligible component is positive."""
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > TIE_TOL)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
+    # A column with no entry above TIE_TOL leads with vecs[0, j] >= -TIE_TOL.
+    lead = vecs[(np.abs(vecs) > TIE_TOL).argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.where(lead < -TIE_TOL, -1.0, 1.0)
 
 
 def sym_eig(m) -> EigenSystem:
@@ -81,16 +79,14 @@ def sym_eig(m) -> EigenSystem:
     vecs = vecs[:, ::-1].copy()
     _canonicalize_signs(vecs)
 
-    d = vals.size
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and vals[stop - 1] - vals[stop] <= TIE_TOL:
-            stop += 1
+    # Tie groups are maximal runs whose consecutive gaps are at most TIE_TOL.
+    # Within a group, a stable ascending lexsort of the negated columns (first
+    # coordinate as primary key) is the stable descending lexicographic order.
+    bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > TIE_TOL) + 1).tolist(), vals.size]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
-            order = sorted(range(start, stop), key=lambda j: tuple(vecs[:, j]), reverse=True)
-            vecs[:, start:stop] = vecs[:, order]
-        start = stop
+            group = vecs[:, start:stop]
+            vecs[:, start:stop] = group[:, np.lexsort(-group[::-1])]
     return EigenSystem(values=vals, vectors=vecs)
 
 

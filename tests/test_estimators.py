@@ -9,6 +9,7 @@ from subspace_bandits.domain import DomainSpec
 from subspace_bandits.errors import BadAlpha, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     PairProbabilities,
+    draw_mbeg_pair,
     draw_pair,
     draw_uniform_indices,
     estimate_asym,
@@ -21,7 +22,7 @@ from subspace_bandits.oracles import PartialObservation
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import spectral_norm
 
-from util import random_hull_spectrum
+from util import random_hull_element, random_hull_spectrum
 
 
 def obs_from(x, indices):
@@ -219,6 +220,81 @@ class TestDrawPair:
         for _ in range(200):
             s, q = draw_pair(probs, rng)
             assert (s, q) in {(0, 0), (2, 2)}
+
+
+class _FixedUniforms:
+    """Stands in for a generator whose next ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, n):
+        assert n == self.uniforms.size
+        return self.uniforms.copy()
+
+
+def _hull_diagonals(rng, d, k, count):
+    """Diagonals of random hull elements: rotated spectra, not just diagonal ones."""
+    return [np.diagonal(random_hull_element(rng, d, k).matrix).copy() for _ in range(count)]
+
+
+class TestDrawMbegPair:
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixture_law_equals_table(self, alpha, k):
+        # Exact law of the sampler: every cell of its piecewise-constant map
+        # from (branch, u_s, u_q) to (s, q), weighted by the cell's volume and
+        # routed through the sampler at the cell's midpoint.
+        rng = make_rng(40 + k)
+        d = 5
+        uniform_cells = [(j / d, (j + 1) / d) for j in range(d)]
+        for diag in _hull_diagonals(rng, d, k, 4):
+            edges = np.concatenate([[0.0], np.cumsum(diag) / diag.sum()])
+            weighted_cells = list(zip(edges[:-1], edges[1:]))
+            law = np.zeros((d, d))
+            for (b_lo, b_hi), s_cells, q_cells in (
+                ((0.0, alpha), uniform_cells, uniform_cells),
+                ((alpha, (1 + alpha) / 2), weighted_cells, uniform_cells),
+                (((1 + alpha) / 2, 1.0), uniform_cells, weighted_cells),
+            ):
+                for s_lo, s_hi in s_cells:
+                    for q_lo, q_hi in q_cells:
+                        mass = (b_hi - b_lo) * (s_hi - s_lo) * (q_hi - q_lo)
+                        if mass == 0:
+                            continue
+                        mid = [(b_lo + b_hi) / 2, (s_lo + s_hi) / 2, (q_lo + q_hi) / 2]
+                        s, q, _ = draw_mbeg_pair(diag, alpha, k, _FixedUniforms(mid))
+                        law[s, q] += mass
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            assert np.max(np.abs(law - table)) <= 1e-15
+
+    def test_frequencies_match_table(self):
+        rng = make_rng(44)
+        d, k, alpha = 3, 1, 0.3
+        diag = _hull_diagonals(rng, d, k, 1)[0]
+        table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+        counts = np.zeros((d, d))
+        n = 60_000
+        for _ in range(n):
+            s, q, _ = draw_mbeg_pair(diag, alpha, k, rng)
+            counts[s, q] += 1
+        # the largest cell standard deviation is below 0.0021, so 0.01 is ~5 sd
+        assert np.max(np.abs(counts / n - table)) < 0.01
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_returned_probability_is_table_entry(self, alpha, k):
+        rng = make_rng(45 + k)
+        d = 6
+        for diag in _hull_diagonals(rng, d, k, 5):
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            for _ in range(40):
+                s, q, p = draw_mbeg_pair(diag, alpha, k, rng)
+                assert p == table[s, q]
+
+    def test_rejects_alpha_above_half(self):
+        with pytest.raises(BadAlpha):
+            draw_mbeg_pair(np.full(2, 0.5), 0.6, 1, make_rng(47))
 
 
 class TestMbegEstimate:

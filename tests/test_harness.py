@@ -297,3 +297,35 @@ class TestCli:
         assert code == 0
         assert "marginals identical" in out
         assert "fraction of trials" in out
+
+    def test_run_with_failed_trial_exits_1(self, tmp_path, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise SubspaceBanditError("injected failure")
+
+        monkeypatch.setattr(harness, "mbgd", boom)
+        out = tmp_path / "run.csv"
+        code = cli_main(
+            [
+                "run", "--algo", "mbgd", "--d", "6", "--k", "1", "--r", "2",
+                "--G", "1", "--m", "40", "--trials", "2", "--seed", "5",
+                "--dist", "dyadic:s=2,eps=0.25,c=4", "--out", str(out), "--workers", "1",
+            ]
+        )
+        assert code == 1
+        assert "injected failure" in capsys.readouterr().err
+        assert len(parse_csv(out)) == 2
+
+    def test_demo_lower_bounds_unexpected_verdict_exits_1(self, monkeypatch, capsys):
+        def no_failures(trials, seed, workers):
+            return {
+                "trials": trials,
+                "m": 200,
+                "failure_fraction": 0.0,
+                "predicted_no_signal_probability": 0.9,
+                "threshold": 0.05,
+            }
+
+        monkeypatch.setattr(harness, "dyadic_no_signal_demo", no_failures)
+        code = cli_main(["demo-lower-bounds", "--trials", "40", "--seed", "3"])
+        assert code == 1
+        assert "UNEXPECTED" in capsys.readouterr().out

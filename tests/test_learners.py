@@ -40,6 +40,7 @@ from util import (
     bisection_entropic,
     brute_force_capped_projection,
     brute_force_scaled_simplex,
+    dense_mbeg_replay,
     entropic_objective,
 )
 
@@ -340,6 +341,32 @@ class TestMbeg:
         cfg = LearnerConfig(spec=spec, m=900, seed=5)
         _, trace = mbeg(dist, cfg, return_trace=True)
         assert trace.final_matrix[4, 4] >= 0.5
+
+    @pytest.mark.parametrize(
+        "spec, dist",
+        [
+            (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.25, c=4.0)),
+            (
+                DomainSpec(d=8, k=2, r=2, G=1.0),
+                coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0)),
+            ),
+            (
+                DomainSpec(d=8, k=2, r=2, G=2.0),
+                coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)),
+            ),
+        ],
+        ids=["dyadic-d16-k1", "coin-d8-k2", "hadamard-coin-d8-k2"],
+    )
+    def test_matches_dense_reference_at_default_budget(self, spec, dist):
+        # The raw-eigh step loop against sym_eig + the pair table, step by step.
+        # The axis-aligned fixtures only ever update diagonal cells, so every
+        # iterate stays diagonal; the Hadamard-basis coin (G > 1) updates
+        # off-diagonal cells and rotates the eigenbasis.
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
+        _, trace = mbeg(dist, cfg, return_trace=True)
+        w_bar, worst_gap = dense_mbeg_replay(dist, cfg, trace)
+        assert worst_gap <= 1e-10
+        assert np.max(np.abs(w_bar - trace.final_matrix)) <= 1e-10
 
 
 class TestFullInfoPca:

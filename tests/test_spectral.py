@@ -12,7 +12,7 @@ from subspace_bandits.spectral import (
     sym_matrix,
 )
 
-from util import random_orthonormal
+from util import loop_sym_eig, random_orthonormal
 
 
 def rng_for(seed):
@@ -74,6 +74,29 @@ class TestSymEig:
             expected[coord, col] = 1.0
         assert np.array_equal(eig.values, np.array([2.0, 2.0, 1.0, 1.0]))
         assert np.allclose(eig.vectors, expected)
+
+    def test_bit_identical_to_loop_reference(self):
+        rng = rng_for(7)
+        block = sym_matrix(rng.standard_normal((3, 3)))
+        cases = [np.eye(d) for d in (1, 2, 4, 16)]
+        cases += [np.diag([1.0, 2.0, 1.0, 2.0]), np.zeros((3, 3))]
+        # eigenvectors whose leading components vanish: the sign rule skips
+        # to the first entry above TIE_TOL
+        cases += [
+            np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]]),
+            np.kron(np.diag([0.0, 1.0]), block),
+        ]
+        cases += [sym_matrix(rng.standard_normal((d, d))) for d in (2, 5, 8, 16, 17)]
+        # tie groups in a rotated basis, where eigh's order within a group is arbitrary
+        for d in (3, 6, 9):
+            v = random_orthonormal(rng, d, d)
+            cases.append((v * rng.integers(0, 3, d).astype(float)) @ v.T)
+        cases += [np.diag(rng.integers(-2, 3, 12).astype(float)) for _ in range(3)]
+        for i, m in enumerate(cases):
+            got, want = sym_eig(m), loop_sym_eig(m)
+            assert np.array_equal(got.values, want.values), i
+            assert np.array_equal(got.vectors, want.vectors), i
+            assert np.array_equal(np.signbit(got.vectors), np.signbit(want.vectors)), i
 
     def test_sign_canonicalization(self):
         eig = sym_eig(np.diag([3.0, 1.0]))

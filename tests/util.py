@@ -10,6 +10,10 @@ import itertools
 import numpy as np
 
 from subspace_bandits.domain import HullElement, projector_from_basis
+from subspace_bandits.estimators import mbeg_estimate, mbeg_pair_probs
+from subspace_bandits.oracles import observe
+from subspace_bandits.seeding import make_rng
+from subspace_bandits.spectral import LOG_FLOOR, TIE_TOL, EigenSystem, sym_eig, sym_matrix
 
 
 def random_orthonormal(rng, d, k):
@@ -133,3 +137,72 @@ def bisection_entropic(mu, k, iters=300):
         else:
             hi = mid
     return np.minimum(0.5 * (lo + hi) * mu, 1.0)
+
+
+def loop_sym_eig(m):
+    """``sym_eig`` by per-column loops: the sign fix and the tie sort in plain Python.
+
+    Flips each eigenvector so its first component above ``TIE_TOL`` in
+    magnitude is positive, then sorts every group of eigenvalues tied within
+    ``TIE_TOL`` by descending lexicographic order of the eigenvectors.
+    """
+    vals, vecs = np.linalg.eigh(sym_matrix(m))
+    vals = vals[::-1].copy()
+    vecs = vecs[:, ::-1].copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > TIE_TOL)
+        if nz.size and col[nz[0]] < 0:
+            vecs[:, j] = -col
+    d = vals.size
+    start = 0
+    while start < d:
+        stop = start + 1
+        while stop < d and vals[stop - 1] - vals[stop] <= TIE_TOL:
+            stop += 1
+        if stop - start > 1:
+            order = sorted(range(start, stop), key=lambda j: tuple(vecs[:, j]), reverse=True)
+            vecs[:, start:stop] = vecs[:, order]
+        start = stop
+    return EigenSystem(values=vals, vectors=vecs)
+
+
+def dense_mbeg_replay(dist, cfg, trace):
+    """Replay a traced ``mbeg`` run through the dense reference update.
+
+    Only each step's pair (s, q) is taken from the trace.  The pair
+    probability comes from the ``mbeg_pair_probs`` table of the iterate
+    diagonal, the observation from replaying the seed's stream in the
+    documented order (``rng.random(3)`` for the pair, then the oracle's
+    uniform), the estimate from ``mbeg_estimate``, and the update
+    exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.
+    Returns the symmetrized iterate average and the largest relative gap
+    between the replayed and the traced estimate terms.
+    """
+    from subspace_bandits.learners import entropic_project, mbeg_mixing_weight, mbeg_step_size
+
+    spec = cfg.spec
+    d, k = spec.d, spec.k
+    eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
+    alpha = cfg.alpha_override if cfg.alpha_override is not None else mbeg_mixing_weight(spec, eta)
+    rng = make_rng(cfg.seed)
+    w = np.full(d, k / d)
+    basis = np.eye(d)
+    w_bar = np.zeros((d, d))
+    worst_gap = 0.0
+    for step in trace.steps:
+        s, q = step.indices
+        w_bar += (basis * w) @ basis.T
+        probs = mbeg_pair_probs((basis**2) @ w, alpha, k=k)
+        rng.random(3)
+        obs = observe(dist, (s, q), rng)
+        est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(probs.table[s, q]), d=d)
+        v, v_traced = est.terms[0][2], step.estimate_terms[0][2]
+        worst_gap = max(worst_gap, abs(v - v_traced) / max(1.0, abs(v)))
+        m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+        m_update = 0.5 * (m_update + m_update.T) + eta * est.to_dense()
+        eig = sym_eig(m_update)
+        w = entropic_project(np.maximum(np.exp(eig.values), LOG_FLOOR), k)
+        basis = eig.vectors
+    w_bar /= len(trace.steps)
+    return 0.5 * (w_bar + w_bar.T), worst_gap
