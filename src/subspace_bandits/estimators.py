@@ -17,6 +17,7 @@ and averaging the split-half estimate over all index tuples does the same.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,30 +185,45 @@ def draw_pair(probs: PairProbabilities, rng: np.random.Generator) -> tuple[int, 
     return pos // d, pos % d
 
 
-def draw_mbeg_pair(diag, alpha: float, k: int, rng: np.random.Generator) -> tuple[int, int, float]:
-    """Ordered pair (s, q) with the law of ``mbeg_pair_probs(diag, alpha, k)``, and its probability.
+class MbegPairSampler:
+    """Ordered pairs (s, q) with the law of ``mbeg_pair_probs(diag, alpha, k)``, and their probability.
 
     The table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 is the
     mixture: with weight alpha a uniform pair; with weight (1-alpha)/2,
     s proportional to W_ss and q uniform; with weight (1-alpha)/2, s uniform
-    and q proportional to W_qq.  Consumes exactly one ``rng.random(3)``
-    (branch, s, q) and costs O(d), with no table.  ``diag`` is the diagonal
-    of W, nonnegative and summing to k.
+    and q proportional to W_qq.  ``diag`` is the diagonal of W, nonnegative
+    and summing to k.  Building the sampler takes the diagonal's prefix sum
+    once, in O(d); each ``draw`` consumes exactly one ``rng.random(3)``
+    (branch, s, q), bisects that prefix sum at most once, and returns p as
+    the table's own formula, so p equals the table entry exactly.
     """
-    if not 0 <= alpha <= 0.5:
-        raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
-    d = diag.size
-    branch, u_s, u_q = rng.random(3).tolist()
-    s = min(int(u_s * d), d - 1)
-    q = min(int(u_q * d), d - 1)
-    if branch >= alpha:
-        cum = np.cumsum(diag)
-        if branch < 0.5 * (1 + alpha):
-            s = min(int(np.searchsorted(cum, u_s * cum[-1], side="right")), d - 1)
-        else:
-            q = min(int(np.searchsorted(cum, u_q * cum[-1], side="right")), d - 1)
-    p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * k) + alpha / d**2
-    return s, q, float(p)
+
+    __slots__ = ("_d", "_k", "_alpha", "_split", "_diag", "_cum")
+
+    def __init__(self, diag, alpha: float, k: int):
+        if not 0 <= alpha <= 0.5:
+            raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
+        diag = np.asarray(diag, dtype=float)
+        self._d = diag.size
+        self._k = k
+        self._alpha = alpha
+        self._split = 0.5 * (1 + alpha)
+        self._diag = diag.tolist()
+        self._cum = np.cumsum(diag).tolist()
+
+    def draw(self, rng: np.random.Generator) -> tuple[int, int, float]:
+        d, alpha, cum = self._d, self._alpha, self._cum
+        branch, u_s, u_q = rng.random(3).tolist()
+        s = min(int(u_s * d), d - 1)
+        q = min(int(u_q * d), d - 1)
+        if branch >= alpha:
+            if branch < self._split:
+                s = min(bisect.bisect_right(cum, u_s * cum[-1]), d - 1)
+            else:
+                q = min(bisect.bisect_right(cum, u_q * cum[-1]), d - 1)
+        diag = self._diag
+        p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + alpha / d**2
+        return s, q, p
 
 
 def mbeg_estimate(

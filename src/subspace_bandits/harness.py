@@ -196,16 +196,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_row(rec: TrialRecord) -> str:
+    """One CSV line for a record, in the column order of ``CSV_HEADER``."""
+    return (
+        f"{rec.algo},{rec.d},{rec.k},{rec.r},{_fmt(rec.G)},{rec.m},{rec.trial},"
+        f"{rec.seed},{_fmt(rec.excess_loss)},{_fmt(rec.loss)},{_fmt(rec.wall_ms)}\n"
+    )
+
+
 def emit_csv(records, path) -> None:
     """Write records with the fixed header; reals carry 17 significant digits."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
             for rec in records:
-                fh.write(
-                    f"{rec.algo},{rec.d},{rec.k},{rec.r},{_fmt(rec.G)},{rec.m},{rec.trial},"
-                    f"{rec.seed},{_fmt(rec.excess_loss)},{_fmt(rec.loss)},{_fmt(rec.wall_ms)}\n"
-                )
+                fh.write(_csv_row(rec))
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path!r}: {exc}") from exc
 
@@ -513,10 +518,7 @@ def _cmd_run(args) -> int:
     else:
         sys.stdout.write(CSV_HEADER + "\n")
         for rec in records:
-            sys.stdout.write(
-                f"{rec.algo},{rec.d},{rec.k},{rec.r},{_fmt(rec.G)},{rec.m},{rec.trial},"
-                f"{rec.seed},{_fmt(rec.excess_loss)},{_fmt(rec.loss)},{_fmt(rec.wall_ms)}\n"
-            )
+            sys.stdout.write(_csv_row(rec))
     for rec in failed:
         print(f"trial (m={rec.m}, trial={rec.trial}) failed: {rec.error}", file=sys.stderr)
     return 1 if failed else 0

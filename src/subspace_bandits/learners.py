@@ -43,7 +43,7 @@ from .errors import (
     OddBudget,
 )
 from .estimators import (
-    draw_mbeg_pair,
+    MbegPairSampler,
     draw_uniform_indices,
     estimate_asym,
     estimate_sym,
@@ -287,16 +287,24 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     return (pi, trace) if return_trace else pi
 
 
+def _mbeg_iterate(w, basis, alpha: float, k: int):
+    """The iterate W = V diag(w) V^T, its pair sampler, and its hull statistics."""
+    w_now = (basis * w) @ basis.T
+    stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+    return w_now, MbegPairSampler(np.diagonal(w_now), alpha, k), stats
+
+
 def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
     """Matrix bandit exponentiated gradient with non-uniform pair sampling.
 
     Supports attribute budget r = 2 only.  Each step draws an ordered pair
-    (s, q) from the iterate-weighted mixture (``draw_mbeg_pair``, the law of
+    (s, q) from the iterate-weighted mixture (``MbegPairSampler``, the law of
     ``mbeg_pair_probs``), queries the oracle at (s, q),
     forms the importance-weighted estimate, applies the multiplicative update
     U = exp(log W + eta C_hat) and projects U's spectrum back onto the capped
-    simplex in relative entropy.  The returned projector is sampled from the
-    decomposition of the iterate average.
+    simplex in relative entropy.  A zero estimate makes that update the
+    identity, so such steps skip it and keep the iterate.  The returned
+    projector is sampled from the decomposition of the iterate average.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
@@ -317,31 +325,38 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     d, k = spec.d, spec.k
     w = np.full(d, k / d)      # iterate spectrum
     basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
+    w_now, sampler, (trace_err, w_min, w_max) = _mbeg_iterate(w, basis, alpha, k)
     w_bar = np.zeros((d, d))
+    held = 0  # steps W_now has been the iterate, not yet added to w_bar
 
     for i in range(cfg.m):
-        w_now = (basis * w) @ basis.T
-        w_bar += w_now  # average runs over W_1 .. W_m, pre-update
-        s, q, p = draw_mbeg_pair(np.diagonal(w_now), alpha, k, rng)
+        held += 1  # the average runs over W_1 .. W_m, each pre-update
+        s, q, p = sampler.draw(rng)
         obs = observe(dist, (s, q), rng)
         x_s, x_q = float(obs.values[0]), float(obs.values[1])
         # the single term of mbeg_estimate(s, q, x_s, x_q, p)
         v = x_s * x_q / p if s == q else x_s * x_q / (2 * p)
 
-        m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-        m_update[s, q] += eta * v
-        if s != q:
-            m_update[q, s] += eta * v
-        # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
-        # projection maps tied values to tied values, so order is irrelevant.
-        vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
-        w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+        # A zero estimate makes exp(log W + eta * 0) = W, already in the hull,
+        # so the projection keeps it: the iterate, its sampler and its hull
+        # statistics carry over unchanged.
+        if v != 0.0:
+            w_bar += held * w_now
+            held = 0
+            m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+            m_update[s, q] += eta * v
+            if s != q:
+                m_update[q, s] += eta * v
+            # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
+            # projection maps tied values to tied values, so order is irrelevant.
+            vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+            w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+            w_now, sampler, (trace_err, w_min, w_max) = _mbeg_iterate(w, basis, alpha, k)
 
-        trace_err = abs(float(w.sum()) - k)
-        if trace_err > 1e-8 or w.min() < -1e-8 or w.max() > 1 + 1e-8:
+        if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
             raise NotInHull(
                 f"iterate left the hull at step {i}: trace error {trace_err:.3g}, "
-                f"spectrum [{w.min():.6g}, {w.max():.6g}]"
+                f"spectrum [{w_min:.6g}, {w_max:.6g}]"
             )
         if trace is not None:
             trace.steps.append(
@@ -351,11 +366,12 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                     estimate_terms=mbeg_estimate(s, q, x_s, x_q, p, d=d).terms,
                     estimate_spectral_norm=abs(v),
                     iterate_trace_error=trace_err,
-                    iterate_min_eig=float(w.min()),
-                    iterate_max_eig=float(w.max()),
+                    iterate_min_eig=w_min,
+                    iterate_max_eig=w_max,
                 )
             )
 
+    w_bar += held * w_now
     w_bar /= cfg.m
     hull = HullElement(matrix=0.5 * (w_bar + w_bar.T), k=k)
     if trace is not None:

@@ -103,10 +103,19 @@ class DistributionSpec:
         # by several hundred ns per call on small supports)
         return [float(v) for v in self._cum_probs]
 
+    @cached_property
+    def _rows(self) -> tuple:
+        # per-row views for the scalar draw path (saves a view per call)
+        return tuple(self.points)
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(eq=False, slots=True)
 class PartialObservation:
-    """Requested coordinates of a single draw; all values come from one vector."""
+    """Requested coordinates of a single draw; all values come from one vector.
+
+    A slotted, unfrozen record: the oracle builds one per query, and a frozen
+    dataclass's initializer would cost about as much as the draw itself.
+    """
 
     indices: tuple[int, ...]
     values: np.ndarray
@@ -135,23 +144,21 @@ class Moments:
         return self.C.shape[0]
 
 
-def _check_indices(indices, d: int) -> tuple[int, ...]:
-    idx = tuple(int(i) for i in indices)
-    for i in idx:
-        if not 0 <= i < d:
-            raise BadIndex(f"index {i} outside [0, {d})")
-    return idx
-
-
 def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> PartialObservation:
     """Draw one vector from the distribution and reveal the requested coordinates.
 
     Duplicated indices are allowed and all refer to the same single draw.  The
     full vector is never exposed.  Consumes exactly one uniform from ``rng``.
     """
-    idx = _check_indices(indices, dist.d)
-    row = min(bisect.bisect_right(dist._cum_list, rng.random()), dist.size - 1)
-    return PartialObservation(indices=idx, values=dist.points[row].take(idx))
+    idx = tuple(map(int, indices))
+    d = dist.d
+    for i in idx:
+        if i < 0 or i >= d:
+            raise BadIndex(f"index {i} outside [0, {d})")
+    # The last cumulative probability is exactly 1.0 and the uniform is below
+    # 1, so the bisection always lands on a valid row.
+    row = bisect.bisect_right(dist._cum_list, rng.random())
+    return PartialObservation(indices=idx, values=dist._rows[row].take(idx))
 
 
 def sample_instances(dist: DistributionSpec, size: int, rng: np.random.Generator) -> np.ndarray:

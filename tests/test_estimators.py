@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from subspace_bandits.domain import DomainSpec
 from subspace_bandits.errors import BadAlpha, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
+    MbegPairSampler,
     PairProbabilities,
-    draw_mbeg_pair,
     draw_pair,
     draw_uniform_indices,
     estimate_asym,
@@ -249,6 +249,7 @@ class TestDrawMbegPair:
         d = 5
         uniform_cells = [(j / d, (j + 1) / d) for j in range(d)]
         for diag in _hull_diagonals(rng, d, k, 4):
+            sampler = MbegPairSampler(diag, alpha, k)
             edges = np.concatenate([[0.0], np.cumsum(diag) / diag.sum()])
             weighted_cells = list(zip(edges[:-1], edges[1:]))
             law = np.zeros((d, d))
@@ -263,7 +264,7 @@ class TestDrawMbegPair:
                         if mass == 0:
                             continue
                         mid = [(b_lo + b_hi) / 2, (s_lo + s_hi) / 2, (q_lo + q_hi) / 2]
-                        s, q, _ = draw_mbeg_pair(diag, alpha, k, _FixedUniforms(mid))
+                        s, q, _ = sampler.draw(_FixedUniforms(mid))
                         law[s, q] += mass
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
             assert np.max(np.abs(law - table)) <= 1e-15
@@ -273,10 +274,11 @@ class TestDrawMbegPair:
         d, k, alpha = 3, 1, 0.3
         diag = _hull_diagonals(rng, d, k, 1)[0]
         table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+        sampler = MbegPairSampler(diag, alpha, k)
         counts = np.zeros((d, d))
         n = 60_000
         for _ in range(n):
-            s, q, _ = draw_mbeg_pair(diag, alpha, k, rng)
+            s, q, _ = sampler.draw(rng)
             counts[s, q] += 1
         # the largest cell standard deviation is below 0.0021, so 0.01 is ~5 sd
         assert np.max(np.abs(counts / n - table)) < 0.01
@@ -288,13 +290,14 @@ class TestDrawMbegPair:
         d = 6
         for diag in _hull_diagonals(rng, d, k, 5):
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            sampler = MbegPairSampler(diag, alpha, k)
             for _ in range(40):
-                s, q, p = draw_mbeg_pair(diag, alpha, k, rng)
+                s, q, p = sampler.draw(rng)
                 assert p == table[s, q]
 
     def test_rejects_alpha_above_half(self):
         with pytest.raises(BadAlpha):
-            draw_mbeg_pair(np.full(2, 0.5), 0.6, 1, make_rng(47))
+            MbegPairSampler(np.full(2, 0.5), 0.6, 1)
 
 
 class TestMbegEstimate:

@@ -315,6 +315,28 @@ class TestCli:
         assert "injected failure" in capsys.readouterr().err
         assert len(parse_csv(out)) == 2
 
+    def test_run_stdout_matches_out_file(self, tmp_path, monkeypatch, capsys):
+        # wall_ms differs from run to run, so both invocations format one sweep
+        real_run_sweep = harness.run_sweep
+        swept = []
+
+        def run_once(cfg, workers=None):
+            if not swept:
+                swept.extend(real_run_sweep(cfg, workers=workers))
+            return list(swept)
+
+        monkeypatch.setattr(harness, "run_sweep", run_once)
+        argv = [
+            "run", "--algo", "mbeg", "--d", "4", "--k", "1", "--r", "2",
+            "--G", "1", "--m", "100", "--trials", "2", "--seed", "5",
+            "--dist", "dyadic:s=1,eps=0.25,c=4", "--workers", "1",
+        ]
+        out = tmp_path / "run.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_demo_lower_bounds_unexpected_verdict_exits_1(self, monkeypatch, capsys):
         def no_failures(trials, seed, workers):
             return {

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,6 +291,19 @@ class TestMbgd:
             mbgd(dist, LearnerConfig(spec=spec, m=10, seed=0))
 
 
+def half_zero_hadamard_coin():
+    """The Hadamard-basis coin (d=8, k=2, G=2) with half its mass moved to the zero vector.
+
+    Every coordinate of a coin row is nonzero, so a step's estimate is zero
+    exactly when the draw is the zero vector: zero and nonzero estimates
+    interleave at rate 1/2.
+    """
+    spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+    coin = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+    support = [(np.zeros(8), 0.5)] + [(x, 0.5 * p) for x, p in zip(coin.points, coin.probs)]
+    return make_finite_support(support, spec, tag="half-zero-hadamard-coin")
+
+
 class TestMbeg:
     def test_budget_must_be_two(self):
         spec = DomainSpec(d=4, k=1, r=4, G=1.0)
@@ -335,6 +350,26 @@ class TestMbeg:
         eta = mbeg_step_size(spec, m)
         assert max(s.estimate_spectral_norm for s in trace.steps) <= 1 / eta + 1e-9
 
+    def test_eigh_runs_only_on_nonzero_estimates(self, monkeypatch):
+        # Count the eigh calls made by the step loop itself, not those of the
+        # final decomposition.
+        real_eigh = np.linalg.eigh
+        loop_calls = []
+
+        def counting_eigh(*args, **kwargs):
+            if sys._getframe(1).f_code is mbeg.__code__:
+                loop_calls.append(1)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        dist = half_zero_hadamard_coin()
+        spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
+        _, trace = mbeg(dist, cfg, return_trace=True)
+        informative = sum(1 for step in trace.steps if step.estimate_terms[0][2] != 0.0)
+        assert 0 < informative < len(trace.steps)
+        assert len(loop_calls) == informative
+
     def test_converges_on_planted_coordinate(self):
         dist = dyadic_fixture(6, s=4, eps=0.25, c=4.0)
         spec = DomainSpec(d=6, k=1, r=2, G=1.0)
@@ -354,18 +389,30 @@ class TestMbeg:
                 DomainSpec(d=8, k=2, r=2, G=2.0),
                 coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)),
             ),
+            (DomainSpec(d=8, k=2, r=2, G=2.0), half_zero_hadamard_coin()),
+            (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.05, c=4.0)),
         ],
-        ids=["dyadic-d16-k1", "coin-d8-k2", "hadamard-coin-d8-k2"],
+        ids=[
+            "dyadic-d16-k1",
+            "coin-d8-k2",
+            "hadamard-coin-d8-k2",
+            "half-zero-hadamard-coin-d8-k2",
+            "dyadic-d16-k1-eps0.05",
+        ],
     )
     def test_matches_dense_reference_at_default_budget(self, spec, dist):
-        # The raw-eigh step loop against sym_eig + the pair table, step by step.
-        # The axis-aligned fixtures only ever update diagonal cells, so every
-        # iterate stays diagonal; the Hadamard-basis coin (G > 1) updates
-        # off-diagonal cells and rotates the eigenbasis.
+        # The raw-eigh step loop against sym_eig + the pair table, step by step;
+        # the replay runs the dense update on zero-estimate steps too, where
+        # the loop keeps its iterate.  The axis-aligned fixtures only ever
+        # update diagonal cells, so every iterate stays diagonal; the
+        # Hadamard-basis coins (G > 1) update off-diagonal cells and rotate
+        # the eigenbasis, and with half the mass on the zero vector the
+        # rotated basis is carried across skipped steps.
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = mbeg(dist, cfg, return_trace=True)
-        w_bar, worst_gap = dense_mbeg_replay(dist, cfg, trace)
+        w_bar, worst_gap, worst_stat_gap = dense_mbeg_replay(dist, cfg, trace)
         assert worst_gap <= 1e-10
+        assert worst_stat_gap <= 1e-10
         assert np.max(np.abs(w_bar - trace.final_matrix)) <= 1e-10
 
 

@@ -64,6 +64,22 @@ class TestObserve:
         with pytest.raises(BadIndex):
             observe(dist, (-1,), make_rng(0))
 
+    def test_numpy_indices_give_int_tuple_and_array_values(self):
+        dist = point_mass_e0()
+        for indices in (np.array([2, 0]), (np.int64(2), np.int32(0))):
+            obs = observe(dist, indices, make_rng(0))
+            assert obs.indices == (2, 0)
+            assert all(type(i) is int for i in obs.indices)
+            assert isinstance(obs.values, np.ndarray)
+            assert np.array_equal(obs.values, np.array([0.0, 1.0]))
+
+    def test_consumes_exactly_one_uniform(self):
+        dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
+        rng, twin = make_rng(5), make_rng(5)
+        observe(dist, (1, 2), rng)
+        twin.random()
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
     def test_marginal_frequency_of_impossibility(self):
         # single-coordinate marginal is uniform on +-sqrt(G/d) = +-1/2
         dist = impossibility_fixture(4, 1.0, s=0)

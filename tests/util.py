@@ -176,8 +176,10 @@ def dense_mbeg_replay(dist, cfg, trace):
     documented order (``rng.random(3)`` for the pair, then the oracle's
     uniform), the estimate from ``mbeg_estimate``, and the update
     exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.
-    Returns the symmetrized iterate average and the largest relative gap
-    between the replayed and the traced estimate terms.
+    Returns the symmetrized iterate average, the largest relative gap
+    between the replayed and the traced estimate terms, and the largest gap
+    between the replayed iterate's hull statistics (trace error, smallest and
+    largest eigenvalue) and the traced ones.
     """
     from subspace_bandits.learners import entropic_project, mbeg_mixing_weight, mbeg_step_size
 
@@ -190,6 +192,7 @@ def dense_mbeg_replay(dist, cfg, trace):
     basis = np.eye(d)
     w_bar = np.zeros((d, d))
     worst_gap = 0.0
+    worst_stat_gap = 0.0
     for step in trace.steps:
         s, q = step.indices
         w_bar += (basis * w) @ basis.T
@@ -204,5 +207,8 @@ def dense_mbeg_replay(dist, cfg, trace):
         eig = sym_eig(m_update)
         w = entropic_project(np.maximum(np.exp(eig.values), LOG_FLOOR), k)
         basis = eig.vectors
+        stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+        traced = (step.iterate_trace_error, step.iterate_min_eig, step.iterate_max_eig)
+        worst_stat_gap = max(worst_stat_gap, *(abs(a - b) for a, b in zip(stats, traced)))
     w_bar /= len(trace.steps)
-    return 0.5 * (w_bar + w_bar.T), worst_gap
+    return 0.5 * (w_bar + w_bar.T), worst_gap, worst_stat_gap
