@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import HullElement, ProjectionMatrix, projector_from_basis
-from .errors import NonTermination, NotInHull
+from .domain import STRUCT_TOL, HullElement, ProjectionMatrix, projector_from_basis
+from .errors import NonTermination, NotInHull, NotOrthonormal
 from .spectral import sym_eig
 
 # Residual spectrum entries at or below this count as zero.
@@ -30,31 +30,52 @@ ZERO_TOL = 1e-10
 INPUT_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
 class MixtureDecomposition:
-    """Convex weights over at most d projectors sharing one eigenbasis."""
+    """Convex weights over at most d projectors sharing one eigenbasis.
 
-    components: tuple[tuple[float, ProjectionMatrix], ...]
+    Component i is the projector onto ``basis[:, columns[i]]``.  It is built
+    (through :func:`projector_from_basis`, fully validated) on first access
+    and cached, so a caller that samples one component pays for one
+    projector, and repeated access returns the same object.
+    """
 
-    def __post_init__(self):
-        w = np.array([weight for weight, _ in self.components])
+    __slots__ = ("_weights", "basis", "columns", "_projectors")
+
+    def __init__(self, weights, basis: np.ndarray, columns):
+        w = np.array(weights, dtype=float)
         if w.size == 0:
             raise NotInHull("decomposition must have at least one component")
         if float(w.min()) < -1e-12:
             raise NotInHull(f"negative mixture weight {w.min():.3g}")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise NotInHull(f"mixture weights sum to {w.sum():.12g}, not 1")
+        self._weights = w
+        self.basis = basis
+        self.columns = tuple(columns)
+        self._projectors: list[ProjectionMatrix | None] = [None] * w.size
 
     @property
     def size(self) -> int:
-        return len(self.components)
+        return self._weights.size
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([weight for weight, _ in self.components])
+        return self._weights.copy()
+
+    def projector(self, i: int) -> ProjectionMatrix:
+        """Component i's projector, built on first access."""
+        proj = self._projectors[i]
+        if proj is None:
+            proj = self._projectors[i] = projector_from_basis(self.basis[:, self.columns[i]])
+        return proj
+
+    @property
+    def components(self) -> tuple[tuple[float, ProjectionMatrix], ...]:
+        """(weight, projector) pairs; builds every projector not yet built."""
+        return tuple((float(w), self.projector(i)) for i, w in enumerate(self._weights))
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros_like(self.components[0][1].matrix)
+        out = np.zeros((self.basis.shape[0],) * 2)
         for weight, proj in self.components:
             out += weight * proj.matrix
         return out
@@ -99,31 +120,37 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
     lam = clipped / k  # normalized spectrum, sums to 1
 
     basis = eig.vectors
-    components: list[tuple[float, ProjectionMatrix]] = []
+    # One check of the whole basis covers every component's column subset.
+    if np.max(np.abs(basis.T @ basis - np.eye(d))) > STRUCT_TOL:
+        raise NotOrthonormal("eigenbasis columns are not orthonormal to 1e-8")
+    weights: list[float] = []
+    columns: list[np.ndarray] = []
     trace = DecompositionTrace() if return_trace else None
 
     for _ in range(d):
         if float(lam.max()) <= ZERO_TOL:
             break
-        top = np.argsort(-lam, kind="stable")[:k]  # ties broken by lowest index
-        s = float(lam[top].min())
-        outside = np.delete(lam, top)
-        ell = float(outside.max()) if outside.size else 0.0
-        alpha = min(s * k, float(lam.sum()) - ell * k)
+        order = np.argsort(-lam, kind="stable")  # ties broken by lowest index
+        top = order[:k]
+        s = float(lam[order[k - 1]])  # smallest entry of the top k
+        ell = float(lam[order[k]]) if k < d else 0.0  # largest entry outside it
+        total = float(lam.sum())
+        alpha = min(s * k, total - ell * k)
         if alpha <= ZERO_TOL:
             raise NonTermination(
-                f"stalled with residual l1={lam.sum():.3g} and step weight {alpha:.3g}"
+                f"stalled with residual l1={total:.3g} and step weight {alpha:.3g}"
             )
         if trace is not None:
             trace.weights.append(alpha)
-            trace.residual_l1.append(float(lam.sum()))
+            trace.residual_l1.append(total)
         lam[top] -= alpha / k
         np.clip(lam, 0.0, None, out=lam)
-        components.append((alpha, projector_from_basis(basis[:, np.sort(top)])))
+        weights.append(alpha)
+        columns.append(np.sort(top))
     if float(lam.max()) > ZERO_TOL:
         raise NonTermination(f"residual spectrum did not vanish in {d} iterations")
 
-    mix = MixtureDecomposition(components=tuple(components))
+    mix = MixtureDecomposition(weights, basis, columns)
     return (mix, trace) if return_trace else mix
 
 
@@ -133,4 +160,4 @@ def sample_component(mix: MixtureDecomposition, rng: np.random.Generator) -> Pro
     cum = np.cumsum(w / w.sum())
     cum[-1] = 1.0
     pos = min(int(np.searchsorted(cum, rng.random(), side="right")), mix.size - 1)
-    return mix.components[pos][1]
+    return mix.projector(pos)

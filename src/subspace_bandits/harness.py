@@ -48,7 +48,6 @@ from .oracles import (
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
-    exact_moments,
     impossibility_fixture,
     load_distribution,
     make_finite_support,
@@ -149,7 +148,7 @@ def run_trial(cfg: ExperimentConfig, m: int, trial_index: int) -> TrialRecord:
             pi = mbgd(cfg.distribution, lcfg)
         else:
             pi = mbeg(cfg.distribution, lcfg)
-        report = excess_loss(pi, exact_moments(cfg.distribution), spec.k)
+        report = excess_loss(pi, cfg.distribution.moments, spec.k)
         excess = report.excess
         value = report.loss
     except SubspaceBanditError as exc:

@@ -82,21 +82,42 @@ def capped_simplex_project(lam, k: float) -> np.ndarray:
     The plain scaled-simplex projection can emit entries above 1 when k >= 2
     (e.g. (10, 0, 0) with k = 2 maps to (2, 0, 0)), which is outside the
     spectrum set of projector mixtures; the cap restores membership and the
-    two projections coincide whenever the cap is inactive.  Solved by
-    bisection on the shift theta in v = clip(lam - theta, 0, 1).
+    two projections coincide whenever the cap is inactive.
+
+    The output is v = clip(lam - theta, 0, 1) for the shift theta with
+    f(theta) = sum(clip(lam - theta, 0, 1)) = k.  f is non-increasing and
+    piecewise linear with breakpoints at lam and lam - 1, so theta is found
+    exactly: evaluate f at the sorted breakpoints, take the last one where
+    f >= k, and solve the linear piece after it.  On that piece the entries
+    with lam - theta >= 1 are capped and those strictly between the two
+    breakpoint kinds are free, so theta = (sum(free) + #capped - k) / #free.
     """
     v = np.asarray(lam, dtype=float)
-    if k > v.size:
-        raise InfeasibleK(f"target trace {k} exceeds dimension {v.size}")
-    lo = float(v.min()) - 1.0  # all capped: sum = d >= k
-    hi = float(v.max())        # all zeroed: sum = 0 <= k
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() >= k:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+    d = v.size
+    if k > d:
+        raise InfeasibleK(f"target trace {k} exceeds dimension {d}")
+    s = np.sort(v)
+    prefix = np.concatenate(([0.0], np.cumsum(s)))
+
+    def pieces(theta):
+        # per theta: (first free, first capped) positions in s
+        return np.searchsorted(s, theta, side="right"), np.searchsorted(s, theta + 1.0)
+
+    bps = np.sort(np.concatenate((s - 1.0, s)))
+    lo, hi = pieces(bps)
+    f = (d - hi) + (prefix[hi] - prefix[lo]) - (hi - lo) * bps
+    j = int(np.count_nonzero(f >= k)) - 1  # f is non-increasing along bps
+    if j < 0:  # only k = d, within rounding of f at the first breakpoint
+        theta = float(bps[0])
+    elif j == bps.size - 1:  # only k <= 0: every entry zeroed
+        theta = float(bps[-1])
+    else:
+        mid = 0.5 * (bps[j] + bps[j + 1])
+        lo, hi = pieces(mid)
+        free = int(hi - lo)
+        # A piece with no free entry is flat (f = #capped = k): any shift in it works.
+        theta = (float(s[lo:hi].sum()) + (d - hi) - k) / free if free else float(mid)
+    return np.clip(v - theta, 0.0, 1.0)
 
 
 def entropic_project(mu, k: int) -> np.ndarray:
@@ -383,12 +404,14 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 def full_info_pca(samples, k: int) -> ProjectionMatrix:
     """Top-k projector of the empirical correlation matrix (1/m) sum x x^T.
 
-    ``samples`` is an (m, d) array or a list of instances/vectors.
+    ``samples`` is an (m, d) array, used as it is, or a list of
+    instances/vectors, stacked into one.
     """
     if hasattr(samples, "__len__") and len(samples) == 0:
         raise EmptySample("batch PCA needs at least one sample")
-    rows = [getattr(s, "x", s) for s in samples]
-    x = np.asarray(rows, dtype=float)
+    if not isinstance(samples, np.ndarray):
+        samples = [getattr(s, "x", s) for s in samples]
+    x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DimMismatch(f"samples must form an (m, d) array, got shape {x.shape}")
     c = x.T @ x / x.shape[0]

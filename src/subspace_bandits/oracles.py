@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,6 +109,17 @@ class DistributionSpec:
         # per-row views for the scalar draw path (saves a view per call)
         return tuple(self.points)
 
+    @cached_property
+    def moments(self) -> Moments:
+        """:func:`exact_moments` of this distribution, computed once and shared.
+
+        The shared correlation matrix is read-only, so no caller can alter
+        another caller's moments.
+        """
+        mom = exact_moments(self)
+        mom.C.flags.writeable = False
+        return mom
+
 
 @dataclass(eq=False, slots=True)
 class PartialObservation:
@@ -147,10 +159,15 @@ class Moments:
 def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> PartialObservation:
     """Draw one vector from the distribution and reveal the requested coordinates.
 
-    Duplicated indices are allowed and all refer to the same single draw.  The
+    Duplicated indices are allowed and all refer to the same single draw.
+    Indices must be integers (Python or numpy); anything else, a float
+    included, raises :class:`BadIndex` rather than being truncated.  The
     full vector is never exposed.  Consumes exactly one uniform from ``rng``.
     """
-    idx = tuple(map(int, indices))
+    try:
+        idx = tuple(map(operator.index, indices))
+    except TypeError as exc:
+        raise BadIndex(f"indices must be integers, got {indices!r}") from exc
     d = dist.d
     for i in idx:
         if i < 0 or i >= d:
@@ -169,7 +186,7 @@ def sample_instances(dist: DistributionSpec, size: int, rng: np.random.Generator
     """
     u = rng.random(size)
     rows = np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist.size - 1)
-    return dist.points[rows].copy()
+    return dist.points[rows]  # fancy indexing copies
 
 
 def make_finite_support(points, spec: DomainSpec, tag: str = "custom") -> DistributionSpec:

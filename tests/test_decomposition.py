@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from subspace_bandits import decomposition
 from subspace_bandits.decomposition import decompose, sample_component
-from subspace_bandits.domain import HullElement, check_hull_membership
-from subspace_bandits.errors import NotInHull
+from subspace_bandits.domain import HullElement, check_hull_membership, projector_from_basis
+from subspace_bandits.errors import NotInHull, NotOrthonormal
 from subspace_bandits.seeding import make_rng
+from subspace_bandits.spectral import EigenSystem, sym_eig
 
 from util import random_hull_element, random_projector
 
@@ -118,3 +120,56 @@ class TestSampleComponent:
         rng = make_rng(14)
         pi = sample_component(decompose(h), rng)
         assert check_hull_membership(pi.matrix, k=3).passed
+
+
+class TestOnDemandProjectors:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count the projectors the decomposition module builds."""
+        calls = []
+
+        def counting(v):
+            calls.append(v)
+            return projector_from_basis(v)
+
+        monkeypatch.setattr(decomposition, "projector_from_basis", counting)
+        return calls
+
+    def test_sampling_builds_exactly_one_projector(self, builds):
+        h = random_hull_element(make_rng(15), 20, 1)
+        mix = decompose(h)
+        assert mix.size > 1
+        assert builds == []
+        drawn = sample_component(mix, make_rng(16))
+        assert len(builds) == 1
+        # the same draw hands out the cached projector without a rebuild
+        assert sample_component(mix, make_rng(16)) is drawn
+        assert len(builds) == 1
+        assert any(proj is drawn for _, proj in mix.components)
+        assert len(builds) == mix.size
+
+    def test_drawn_projector_matches_eager_build(self):
+        rng = make_rng(17)
+        for d, k in [(5, 1), (8, 2), (20, 1), (12, 3)]:
+            h = random_hull_element(rng, d, k)
+            mix = decompose(h)
+            drawn = sample_component(mix, rng)
+            basis = sym_eig(h.matrix).vectors
+            pos = next(i for i in range(mix.size) if mix.projector(i) is drawn)
+            eager = projector_from_basis(basis[:, sorted(mix.columns[pos])])
+            assert np.array_equal(drawn.matrix, eager.matrix)
+            assert np.array_equal(drawn.basis, eager.basis)
+            assert drawn.rank == eager.rank == k
+
+    def test_non_orthonormal_basis_raises(self, monkeypatch):
+        h = random_hull_element(make_rng(18), 6, 2)
+
+        def skewed_eig(m):
+            eig = sym_eig(m)
+            vectors = eig.vectors.copy()
+            vectors[:, 0] *= 1 + 1e-6  # off orthonormal by 2e-6, above STRUCT_TOL
+            return EigenSystem(values=eig.values, vectors=vectors)
+
+        monkeypatch.setattr(decomposition, "sym_eig", skewed_eig)
+        with pytest.raises(NotOrthonormal):
+            decompose(h)

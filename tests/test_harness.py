@@ -18,8 +18,17 @@ from subspace_bandits.harness import (
     run_sweep,
     run_trial,
 )
-from subspace_bandits.oracles import dyadic_fixture, make_finite_support
-from subspace_bandits.seeding import mix64, splitmix64
+from subspace_bandits.evaluation import excess_loss
+from subspace_bandits.learners import LearnerConfig, bandit_pca, full_info_pca, mbeg, mbgd
+from subspace_bandits.oracles import (
+    coin_fixture,
+    default_coin_basis,
+    dyadic_fixture,
+    exact_moments,
+    make_finite_support,
+    sample_instances,
+)
+from subspace_bandits.seeding import make_rng, mix64, splitmix64
 
 
 def point_mass_config(**overrides):
@@ -117,6 +126,25 @@ class TestRunTrial:
         a = run_trial(cfg, m=50, trial_index=3)
         b = run_trial(cfg, m=50, trial_index=3)
         assert (a.excess_loss, a.loss, a.seed) == (b.excess_loss, b.loss, b.seed)
+
+    @pytest.mark.parametrize("algo,m", [("pca", 300), ("mbgd", 300), ("bandit-pca", 300),
+                                        ("mbeg", 710)])
+    def test_record_matches_fresh_evaluation(self, algo, m):
+        # the per-distribution cached moments give the same floats as fresh ones
+        domain = DomainSpec(d=8, k=2, r=2, G=1.0)
+        dist = coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0))
+        cfg = ExperimentConfig(domain=domain, distribution=dist, algo=algo, m_values=(m,),
+                               trials=2, base_seed=11)
+        for t in range(2):
+            rec = run_trial(cfg, m=m, trial_index=t)
+            lcfg = LearnerConfig(spec=domain, m=m, seed=rec.seed)
+            if algo == "pca":
+                pi = full_info_pca(sample_instances(dist, m, make_rng(rec.seed)), domain.k)
+            else:
+                pi = {"mbgd": mbgd, "bandit-pca": bandit_pca, "mbeg": mbeg}[algo](dist, lcfg)
+            report = excess_loss(pi, exact_moments(dist), domain.k)
+            assert rec.error is None
+            assert (rec.loss, rec.excess_loss) == (report.loss, report.excess)
 
     def test_learner_failure_becomes_failed_record(self, monkeypatch):
         cfg = point_mass_config(algo="mbgd", m_values=(10,))

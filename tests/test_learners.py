@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_bandits.domain import DomainSpec, check_hull_membership
+from subspace_bandits.domain import DomainSpec, check_hull_membership, validate_instance
 from subspace_bandits.errors import (
     AlphaTooLarge,
     BudgetNotTwo,
@@ -39,6 +39,7 @@ from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
 
 from util import (
+    bisection_capped_projection,
     bisection_entropic,
     brute_force_capped_projection,
     brute_force_scaled_simplex,
@@ -119,6 +120,52 @@ class TestCappedSimplexProjection:
     def test_infeasible_k(self):
         with pytest.raises(InfeasibleK):
             capped_simplex_project([1.0, 1.0], 3)
+
+    # Spectrum generators for the bisection comparison, keyed by input kind.
+    ORACLE_INPUTS = {
+        "random": lambda rng, d, k: rng.uniform(-2.0, 4.0, size=d),
+        "tied": lambda rng, d, k: rng.choice([-0.3, 0.2, 0.7, 1.4], size=d),
+        # a quarter grid: breakpoints lam and lam - 1 of different entries
+        # coincide, and the solution shift often sits exactly on one
+        "on-breakpoint": lambda rng, d, k: rng.integers(-4, 9, size=d) / 4.0,
+        "all-equal": lambda rng, d, k: np.full(d, rng.uniform(-1.0, 2.0)),
+        # k - 1 entries far above the rest: for k >= 2 the cap binds on them
+        "cap-active": lambda rng, d, k: np.concatenate(
+            [rng.uniform(3.0, 6.0, size=k - 1), rng.uniform(0.0, 1.0, size=d - k + 1)]
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", list(ORACLE_INPUTS))
+    def test_matches_bisection_oracle(self, kind):
+        rng = make_rng(31)
+        for d in range(2, 65):
+            for k in range(1, min(d, 4) + 1):
+                lam = self.ORACLE_INPUTS[kind](rng, d, k)
+                out = capped_simplex_project(lam, k)
+                assert np.max(np.abs(out - bisection_capped_projection(lam, k))) <= 1e-12
+                assert abs(out.sum() - k) <= 1e-12
+                if kind == "cap-active":
+                    assert np.all(out[: k - 1] == 1.0)
+                if kind == "all-equal":
+                    assert np.max(np.abs(out - k / d)) <= 1e-12
+
+    def test_shift_on_a_breakpoint_is_exact(self):
+        # [2]*k + [1]*(d-k): f(1) = k exactly, at a breakpoint of both kinds
+        for d in range(2, 65):
+            for k in range(1, min(d, 4) + 1):
+                lam = np.array([2.0] * k + [1.0] * (d - k))
+                out = capped_simplex_project(lam, k)
+                assert np.array_equal(out, np.array([1.0] * k + [0.0] * (d - k)))
+                assert np.max(np.abs(out - bisection_capped_projection(lam, k))) <= 1e-12
+
+    def test_k_equal_to_d(self):
+        rng = make_rng(32)
+        for d in range(2, 65):
+            lam = rng.uniform(-2.0, 4.0, size=d)
+            out = capped_simplex_project(lam, d)
+            assert np.max(np.abs(out - 1.0)) <= 1e-12
+            assert np.max(np.abs(out - bisection_capped_projection(lam, d))) <= 1e-12
+            assert abs(out.sum() - d) <= 1e-12
 
 
 class TestEntropicProjection:
@@ -428,6 +475,18 @@ class TestFullInfoPca:
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             full_info_pca([], 1)
+        with pytest.raises(EmptySample):
+            full_info_pca(np.zeros((0, 3)), 1)
+
+    def test_array_and_instance_list_give_the_same_projector(self):
+        spec = DomainSpec(d=8, k=2, r=2, G=1.0)
+        dist = coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0))
+        xs = sample_instances(dist, 500, make_rng(33))
+        from_array = full_info_pca(xs, 2)
+        for rows in ([validate_instance(x, spec) for x in xs], [x.copy() for x in xs]):
+            from_list = full_info_pca(rows, 2)
+            assert np.array_equal(from_list.matrix, from_array.matrix)
+            assert np.array_equal(from_list.basis, from_array.basis)
 
     def test_identifies_coin_biases_at_large_m(self):
         d, k, G, alpha = 6, 2, 1.0, 0.5

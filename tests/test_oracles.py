@@ -73,6 +73,12 @@ class TestObserve:
             assert isinstance(obs.values, np.ndarray)
             assert np.array_equal(obs.values, np.array([0.0, 1.0]))
 
+    def test_float_indices_rejected(self):
+        dist = dyadic_fixture(4, s=1, eps=0.25)
+        for indices in ((1.7, 0.2), (1.0, 0), (np.float64(1.0), 2), np.array([1.0, 2.0])):
+            with pytest.raises(BadIndex):
+                observe(dist, indices, make_rng(0))
+
     def test_consumes_exactly_one_uniform(self):
         dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
         rng, twin = make_rng(5), make_rng(5)
@@ -286,6 +292,30 @@ class TestExactMoments:
         mc = xs.T @ xs / xs.shape[0]
         assert np.max(np.abs(mc - mom.C)) <= 0.02
         assert np.linalg.eigvalsh(mom.C).min() >= -1e-10
+
+
+class TestSampleInstances:
+    def test_returned_rows_are_a_copy(self):
+        dist = coin_fixture(6, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(6, 2, 1.0))
+        before = dist.points.copy()
+        xs = sample_instances(dist, 50, make_rng(9))
+        xs[:] = 7.0
+        assert np.array_equal(dist.points, before)
+
+
+class TestCachedMoments:
+    def test_equal_to_exact_moments_and_shared(self):
+        dist = coin_fixture(6, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(6, 2, 1.0))
+        mom = dist.moments
+        fresh = exact_moments(dist)
+        assert np.array_equal(mom.C, fresh.C)
+        assert mom.mean_sq_norm == fresh.mean_sq_norm
+        assert dist.moments is mom
+
+    def test_shared_matrix_is_read_only(self):
+        mom = dyadic_fixture(4, s=1, eps=0.2).moments
+        with pytest.raises(ValueError):
+            mom.C[0, 0] = 1.0
 
 
 class TestJsonRoundTrip:

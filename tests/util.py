@@ -2,7 +2,8 @@
 
 The oracles here deliberately take different algorithmic routes from the
 library code they check (exhaustive active-set enumeration instead of
-thresholding; scalar root bisection instead of cap counting).
+thresholding; scalar root bisection instead of cap counting or an exact
+breakpoint solve).
 """
 
 import itertools
@@ -82,6 +83,25 @@ def brute_force_capped_projection(lam, k):
             best = v
     assert best is not None, "no consistent active set found"
     return best
+
+
+def bisection_capped_projection(lam, k, iters=200):
+    """Euclidean projection onto {0 <= v <= 1, sum v = k} by bisection on the shift.
+
+    v = clip(lam - theta, 0, 1) and sum(v) is non-increasing in theta, equal
+    to d at theta = min(lam) - 1 and to 0 at theta = max(lam); halve that
+    bracket ``iters`` times.
+    """
+    v = np.asarray(lam, dtype=float)
+    lo = float(v.min()) - 1.0
+    hi = float(v.max())
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, 1.0).sum() >= k:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
 
 
 def brute_force_scaled_simplex(lam, k):
