@@ -63,7 +63,7 @@ from .oracles import (
     save_distribution,
 )
 from .seeding import make_rng, mix64
-from .spectral import EigenSystem, frob_inner, spectral_norm, sym_eig, sym_fn, sym_matrix
+from .spectral import EigenSystem, frob_inner, spectral_norm, sym_eig, sym_matrix
 
 __version__ = "0.1.0"
 
@@ -119,7 +119,6 @@ __all__ = [
     "simplex_project_scaled",
     "spectral_norm",
     "sym_eig",
-    "sym_fn",
     "sym_matrix",
     "top_k_projector",
     "validate_instance",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .domain import STRUCT_TOL, HullElement, ProjectionMatrix, projector_from_basis
 from .errors import NonTermination, NotInHull, NotOrthonormal
-from .spectral import sym_eig
+from .spectral import EigenSystem, sym_eig
 
 # Residual spectrum entries at or below this count as zero.
 ZERO_TOL = 1e-10
@@ -92,7 +92,10 @@ class DecompositionTrace:
 def decompose(w, k: int | None = None, return_trace: bool = False):
     """Decompose a hull element into at most d weighted rank-k projectors.
 
-    ``w`` is a :class:`HullElement` or a symmetric matrix with ``k`` given.
+    ``w`` is a :class:`HullElement`, or a symmetric matrix or an
+    :class:`EigenSystem` with ``k`` given; an eigensystem is used as it is
+    (non-increasing values, orthonormal columns), so a caller that already
+    holds the element's spectrum and basis skips the eigendecomposition.
     Eigenvalues outside [0, 1] by at most 1e-8 are clipped and the spectrum
     rescaled to trace exactly k before the loop; larger violations raise
     :class:`NotInHull`.  Failure of the residual to vanish within d
@@ -100,12 +103,10 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
     never silent truncation).
     """
     if isinstance(w, HullElement):
-        matrix, k = w.matrix, w.k
-    else:
-        if k is None:
-            raise ValueError("k is required when w is not a HullElement")
-        matrix = w
-    eig = sym_eig(matrix)
+        w, k = w.matrix, w.k
+    elif k is None:
+        raise ValueError("k is required when w is not a HullElement")
+    eig = w if isinstance(w, EigenSystem) else sym_eig(w)
     d = eig.dim
     vals = eig.values
     if float(vals.min()) < -INPUT_TOL or float(vals.max()) > 1 + INPUT_TOL:

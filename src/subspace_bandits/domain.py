@@ -175,10 +175,10 @@ def check_hull_membership(
 ) -> HullMembershipReport:
     """Report how far a symmetric matrix is from {spectrum in [0,1], trace k}.
 
-    Purely diagnostic: never raises for a failing matrix.
+    ``w`` is a symmetric matrix or an :class:`EigenSystem`, whose values are
+    read as they are.  Purely diagnostic: never raises for a failing matrix.
     """
-    a = sym_matrix(w)
-    vals = np.linalg.eigvalsh(a)
+    vals = w.values if isinstance(w, EigenSystem) else np.linalg.eigvalsh(sym_matrix(w))
     trace_error = abs(float(np.sum(vals)) - k)
     lo = float(vals.min())
     hi = float(vals.max())

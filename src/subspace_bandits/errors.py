@@ -18,10 +18,6 @@ class DimMismatch(SubspaceBanditError, ValueError):
     """Operands have incompatible dimensions."""
 
 
-class SingularLog(SubspaceBanditError, ValueError):
-    """Matrix logarithm requested with clamping disabled on a spectrum below the floor."""
-
-
 class NormViolation(SubspaceBanditError, ValueError):
     """Instance squared norm exceeds the domain bound G."""
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import DomainSpec, HullElement
+from .domain import DomainSpec
 from .errors import BadAlpha, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
 from .oracles import PartialObservation
 
@@ -151,23 +151,17 @@ class PairProbabilities:
         return self.table.shape[0]
 
 
-def mbeg_pair_probs(w, alpha: float, k: int | None = None) -> PairProbabilities:
+def mbeg_pair_probs(w, alpha: float, k: int) -> PairProbabilities:
     """Pair-sampling table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2.
 
-    ``w`` may be a hull element, a square matrix, or its diagonal.  Mixing
+    ``w`` may be a square matrix or its diagonal.  Mixing
     with the uniform distribution keeps every pair's probability at least
     alpha/d^2; since the diagonal sums to k, the table sums to 1.  alpha = 0
     is accepted for the bare diagonal-weighted table (the learner itself
     always mixes with alpha > 0).
     """
-    if isinstance(w, HullElement):
-        diag = np.diagonal(w.matrix).astype(float)
-        k = w.k
-    else:
-        arr = np.asarray(w, dtype=float)
-        diag = np.diagonal(arr).astype(float) if arr.ndim == 2 else arr
-        if k is None:
-            raise ValueError("k is required when w is not a HullElement")
+    arr = np.asarray(w, dtype=float)
+    diag = np.diagonal(arr).astype(float) if arr.ndim == 2 else arr
     if not 0 <= alpha <= 0.5:
         raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
     d = diag.size

@@ -14,7 +14,7 @@ import numpy as np
 from .domain import ProjectionMatrix, top_k_projector
 from .errors import DimMismatch, MissingBasis
 from .oracles import DistributionSpec, Moments
-from .spectral import EigenSystem, frob_inner, sym_eig
+from .spectral import frob_inner
 
 # Excess this far below zero is floating-point noise and reported as 0;
 # anything lower indicates inconsistent inputs.
@@ -49,28 +49,27 @@ def loss(pi: ProjectionMatrix, mom: Moments) -> float:
     return mom.mean_sq_norm - frob_inner(pi.matrix, mom.C)
 
 
-def _optimal_loss(mom: Moments, k: int) -> tuple[EigenSystem, float]:
-    """The eigensystem of C and the optimal rank-k loss E||x||^2 - (top k eigenvalues)."""
+def _optimal_loss(mom: Moments, k: int) -> float:
+    """The optimal rank-k loss E||x||^2 - (top k eigenvalues of C)."""
     if not 1 <= k < mom.dim:
         raise DimMismatch(f"k={k} out of range for dimension {mom.dim}")
-    eig = sym_eig(mom.C)
-    return eig, mom.mean_sq_norm - float(np.sum(eig.values[:k]))
+    return mom.mean_sq_norm - float(np.sum(mom.eig.values[:k]))
 
 
 def optimal_projection(mom: Moments, k: int) -> tuple[ProjectionMatrix, float]:
     """The top-k projector of C and its loss (the optimum over all projectors)."""
-    eig, best = _optimal_loss(mom, k)
-    return top_k_projector(eig, k), best
+    best = _optimal_loss(mom, k)
+    return top_k_projector(mom.eig, k), best
 
 
 def excess_loss(pi: ProjectionMatrix, mom: Moments, k: int) -> LossReport:
     """Loss of ``pi`` minus the optimal loss; tiny negatives report as 0.
 
-    The optimal loss comes straight from the spectrum of C; the optimal
-    projector itself is never built.
+    The optimal loss comes from C's eigensystem, computed once per
+    :class:`Moments`; the optimal projector itself is never built.
     """
     value = loss(pi, mom)
-    _, best = _optimal_loss(mom, k)
+    best = _optimal_loss(mom, k)
     excess = value - best
     if excess < -NEG_EXCESS_TOL:
         raise ValueError(

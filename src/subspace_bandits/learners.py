@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decomposition import decompose, sample_component
-from .domain import DomainSpec, HullElement, ProjectionMatrix, top_k_projector
+from .domain import DomainSpec, ProjectionMatrix, check_hull_membership, top_k_projector
 from .errors import (
     AlphaTooLarge,
     BudgetNotTwo,
@@ -52,7 +52,7 @@ from .estimators import (
 )
 from .oracles import DistributionSpec, observe
 from .seeding import make_rng
-from .spectral import LOG_FLOOR, spectral_norm, sym_eig
+from .spectral import LOG_FLOOR, EigenSystem, spectral_norm, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +258,9 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
     The loss is linear in the iterate, so all m additive updates commute and
     only the final matrix W = (k/d) I + eta * sum_i C_hat_i is projected:
-    eigendecompose, project the spectrum onto the capped simplex, rebuild,
-    decompose into projectors, and sample one.  m = 0 degenerates to
-    decomposing the initializer (k/d) I.
+    eigendecompose, project the spectrum onto the capped simplex, decompose
+    the projected spectrum over W's eigenbasis into projectors, and sample
+    one.  m = 0 degenerates to decomposing the initializer (k/d) I.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
@@ -299,12 +299,11 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
         trace.pre_projection_matrix = w_end.copy()
 
     eig = sym_eig(w_end)
-    lam = capped_simplex_project(eig.values, spec.k)
-    w_proj = (eig.vectors * lam) @ eig.vectors.T
-    hull = HullElement(matrix=0.5 * (w_proj + w_proj.T), k=spec.k)
+    # The projection keeps the values non-increasing, as an EigenSystem's are.
+    hull = EigenSystem(capped_simplex_project(eig.values, spec.k), eig.vectors)
     if trace is not None:
-        trace.final_matrix = hull.matrix
-    pi = sample_component(decompose(hull), rng)
+        trace.final_matrix = hull.reconstruct()
+    pi = sample_component(decompose(hull, spec.k), rng)
     return (pi, trace) if return_trace else pi
 
 
@@ -394,10 +393,14 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
     w_bar += held * w_now
     w_bar /= cfg.m
-    hull = HullElement(matrix=0.5 * (w_bar + w_bar.T), k=k)
+    # One eigendecomposition of the average serves the hull gate and the rounding.
+    hull = sym_eig(w_bar)
+    report = check_hull_membership(hull, k)
+    if not report.passed:
+        raise NotInHull(str(report))
     if trace is not None:
-        trace.final_matrix = hull.matrix
-    pi = sample_component(decompose(hull), rng)
+        trace.final_matrix = 0.5 * (w_bar + w_bar.T)
+    pi = sample_component(decompose(hull, k), rng)
     return (pi, trace) if return_trace else pi
 
 

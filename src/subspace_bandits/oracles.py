@@ -39,7 +39,7 @@ from .errors import (
     InfNormViolation,
     InvalidMatrix,
 )
-from .spectral import sym_matrix
+from .spectral import EigenSystem, sym_eig, sym_matrix
 
 PROB_TOL = 1e-12
 
@@ -154,6 +154,14 @@ class Moments:
     @property
     def dim(self) -> int:
         return self.C.shape[0]
+
+    @cached_property
+    def eig(self) -> EigenSystem:
+        """``sym_eig(C)``, computed once and shared, its arrays read-only."""
+        eig = sym_eig(self.C)
+        eig.values.flags.writeable = False
+        eig.vectors.flags.writeable = False
+        return eig
 
 
 def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> PartialObservation:

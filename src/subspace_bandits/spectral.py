@@ -2,9 +2,9 @@
 
 Everything downstream (learners, projections, loss evaluation) goes through
 these few primitives: symmetric ingest, eigendecomposition with a
-deterministic ordering, spectral application of exp/log, Frobenius inner
-product, and the spectral norm.  Matrices are plain float64 ``numpy``
-arrays; ``sym_matrix`` is the single ingest point that symmetrizes once.
+deterministic ordering, Frobenius inner product, and the spectral norm.
+Matrices are plain float64 ``numpy`` arrays; ``sym_matrix`` is the single
+ingest point that symmetrizes once.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidMatrix, SingularLog
+from .errors import DimMismatch, InvalidMatrix
 
 # Eigenvalues closer than this are treated as tied for ordering purposes.
 TIE_TOL = 1e-12
@@ -88,29 +88,6 @@ def sym_eig(m) -> EigenSystem:
             group = vecs[:, start:stop]
             vecs[:, start:stop] = group[:, np.lexsort(-group[::-1])]
     return EigenSystem(values=vals, vectors=vecs)
-
-
-_SPECTRAL_FNS = {"exp": np.exp, "log": np.log}
-
-
-def sym_fn(m, fn: str, clamp_log: bool = True) -> np.ndarray:
-    """Apply ``exp`` or ``log`` to a symmetric matrix through its spectrum.
-
-    For ``log`` the eigenvalues are clamped at ``LOG_FLOOR`` unless
-    ``clamp_log=False``, in which case a spectrum below the floor raises
-    :class:`SingularLog`.  The result is re-symmetrized.
-    """
-    if fn not in _SPECTRAL_FNS:
-        raise ValueError(f"fn must be one of {sorted(_SPECTRAL_FNS)}, got {fn!r}")
-    eig = sym_eig(m)
-    lam = eig.values
-    if fn == "log":
-        if clamp_log:
-            lam = np.maximum(lam, LOG_FLOOR)
-        elif lam.min() < LOG_FLOOR:
-            raise SingularLog(f"minimum eigenvalue {lam.min():.3g} is below the log floor")
-    out = (eig.vectors * _SPECTRAL_FNS[fn](lam)) @ eig.vectors.T
-    return 0.5 * (out + out.T)
 
 
 def frob_inner(a, b) -> float:

@@ -74,6 +74,30 @@ class TestDecompose:
         with pytest.raises(NotInHull):
             decompose(np.diag([1.5, 0.5]), k=2)
 
+    def test_eigensystem_is_checked_like_a_matrix(self):
+        basis = np.eye(2)
+        with pytest.raises(NotInHull):  # spectrum leaves [0, 1] above
+            decompose(EigenSystem(values=np.array([1.5, 0.5]), vectors=basis), k=2)
+        with pytest.raises(NotInHull):  # and below
+            decompose(EigenSystem(values=np.array([0.6, 0.5, -0.1]), vectors=np.eye(3)), k=1)
+        with pytest.raises(NotInHull):  # trace is not k
+            decompose(EigenSystem(values=np.array([0.6, 0.6]), vectors=basis), k=1)
+        with pytest.raises(NotOrthonormal):
+            decompose(EigenSystem(values=np.array([0.5, 0.5]), vectors=basis * (1 + 1e-6)), k=1)
+        # a violation within 1e-8 is clipped and rescaled away
+        mix = decompose(EigenSystem(values=np.array([1 + 5e-9, -5e-9]), vectors=basis), k=1)
+        assert mix.size == 1 and np.array_equal(mix.weights, [1.0])
+
+    def test_eigensystem_of_the_matrix_gives_the_same_mixture(self):
+        rng = make_rng(19)
+        for d, k in [(4, 1), (6, 2), (8, 3)]:
+            h = random_hull_element(rng, d, k)
+            from_matrix = decompose(h)
+            handed = decompose(sym_eig(h.matrix), k)
+            assert np.array_equal(handed.weights, from_matrix.weights)
+            assert np.array_equal(handed.basis, from_matrix.basis)
+            assert [c.tolist() for c in handed.columns] == [c.tolist() for c in from_matrix.columns]
+
     def test_requires_k_for_raw_matrix(self):
         with pytest.raises(ValueError):
             decompose(np.diag([0.5, 0.5]))

@@ -122,6 +122,15 @@ class TestExcessLoss:
             pi = random_projector(rng, 5, 2)
             assert excess_loss(pi, mom, 2).excess >= 0.0
 
+    def test_second_call_runs_no_eigh(self, linalg_calls):
+        # C's eigensystem is computed once per Moments, not once per call.
+        mom = exact_moments(dyadic_fixture(6, s=2, eps=0.25, c=4.0))
+        pi = random_projector(make_rng(21), 6, 2)
+        first = excess_loss(pi, mom, 2)
+        linalg_calls.clear()
+        assert excess_loss(pi, mom, 2) == first
+        assert linalg_calls == []
+
 
 class TestIdentifiedFraction:
     def make_fixture(self, signs, d=6, k=2, G=1.0, alpha=0.5):

@@ -146,6 +146,19 @@ class TestRunTrial:
             assert rec.error is None
             assert (rec.loss, rec.excess_loss) == (report.loss, report.excess)
 
+    def test_mbgd_trial_eigendecomposes_once(self, linalg_calls):
+        # After the distribution's first trial has cached C's eigensystem, an
+        # mbgd trial eigendecomposes W_end once: the rounding and the
+        # evaluation reuse what is already known.
+        domain = DomainSpec(d=8, k=2, r=2, G=2.0)
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        cfg = ExperimentConfig(domain=domain, distribution=dist, algo="mbgd", m_values=(300,),
+                               trials=2, base_seed=11)
+        assert run_trial(cfg, m=300, trial_index=0).error is None
+        linalg_calls.clear()
+        assert run_trial(cfg, m=300, trial_index=1).error is None
+        assert [name for name, _ in linalg_calls] == ["eigh"]
+
     def test_learner_failure_becomes_failed_record(self, monkeypatch):
         cfg = point_mass_config(algo="mbgd", m_values=(10,))
 

@@ -1,16 +1,17 @@
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_bandits import learners
+from subspace_bandits.decomposition import decompose
 from subspace_bandits.domain import DomainSpec, check_hull_membership, validate_instance
 from subspace_bandits.errors import (
     AlphaTooLarge,
     BudgetNotTwo,
     EmptySample,
     InfeasibleK,
+    NotInHull,
     OddBudget,
 )
 from subspace_bandits.evaluation import identified_fraction
@@ -37,6 +38,7 @@ from subspace_bandits.oracles import (
 )
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
+from subspace_bandits.spectral import EigenSystem, sym_eig
 
 from util import (
     bisection_capped_projection,
@@ -325,6 +327,32 @@ class TestMbgd:
         _, trace = mbgd(dist, LearnerConfig(spec=spec, m=400, seed=8), return_trace=True)
         assert check_hull_membership(trace.final_matrix, k=2).passed
 
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_handed_spectrum_matches_rebuilt_matrix(self, monkeypatch, r):
+        # mbgd hands decompose the projected spectrum over W_end's eigenbasis.
+        # Decomposing the rebuilt matrix V diag(lam) V^T instead must give the
+        # same mixture up to rounding; the Hadamard-basis coin rotates the
+        # eigenbasis, so the two routes really differ in the last bits.
+        handed = []
+
+        def recording(w, k=None, return_trace=False):
+            handed.append((w, k))
+            return decompose(w, k, return_trace)
+
+        monkeypatch.setattr(learners, "decompose", recording)
+        spec = DomainSpec(d=8, k=2, r=r, G=2.0)
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        for seed in range(20):
+            mbgd(dist, LearnerConfig(spec=spec, m=200, seed=seed))
+        assert len(handed) == 20
+        for eig, k in handed:
+            assert isinstance(eig, EigenSystem) and k == 2
+            mix = decompose(eig, k)
+            rebuilt = decompose(eig.reconstruct(), k)
+            assert mix.size == rebuilt.size > 1
+            assert np.max(np.abs(mix.weights - rebuilt.weights)) <= 1e-12
+            assert np.max(np.abs(mix.reconstruct() - rebuilt.reconstruct())) <= 1e-12
+
     def test_converges_on_planted_coordinate(self):
         dist = dyadic_fixture(6, s=3, eps=0.25, c=4.0)
         spec = DomainSpec(d=6, k=1, r=2, G=1.0)
@@ -397,25 +425,40 @@ class TestMbeg:
         eta = mbeg_step_size(spec, m)
         assert max(s.estimate_spectral_norm for s in trace.steps) <= 1 / eta + 1e-9
 
-    def test_eigh_runs_only_on_nonzero_estimates(self, monkeypatch):
+    def test_eigh_runs_only_on_nonzero_estimates(self, linalg_calls):
         # Count the eigh calls made by the step loop itself, not those of the
         # final decomposition.
-        real_eigh = np.linalg.eigh
-        loop_calls = []
-
-        def counting_eigh(*args, **kwargs):
-            if sys._getframe(1).f_code is mbeg.__code__:
-                loop_calls.append(1)
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         dist = half_zero_hadamard_coin()
         spec = DomainSpec(d=8, k=2, r=2, G=2.0)
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = mbeg(dist, cfg, return_trace=True)
         informative = sum(1 for step in trace.steps if step.estimate_terms[0][2] != 0.0)
         assert 0 < informative < len(trace.steps)
-        assert len(loop_calls) == informative
+        loop_calls = [name for name, code in linalg_calls if code is mbeg.__code__]
+        assert loop_calls == ["eigh"] * informative
+
+    def test_rounding_eigendecomposes_the_average_once(self, linalg_calls):
+        # After the step loop, one sym_eig of the iterate average serves both
+        # the hull gate and the decomposition.
+        dist = half_zero_hadamard_coin()
+        spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+        mbeg(dist, LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13))
+        rounding_calls = [name for name, code in linalg_calls if code is not mbeg.__code__]
+        assert rounding_calls == ["eigh"]
+
+    def test_average_outside_the_hull_raises(self, monkeypatch):
+        # The final gate reads W-bar's spectrum at MEMBER_TOL (1e-9), tighter
+        # than the 1e-8 that decompose would clip silently.
+        def overshooting(m):
+            eig = sym_eig(m)  # I/4 here
+            values = np.array([0.5 + 5e-9, 0.25, 0.25, -5e-9])  # trace still 1
+            return EigenSystem(values=values, vectors=eig.vectors)
+
+        monkeypatch.setattr(learners, "sym_eig", overshooting)
+        dist, spec = point_mass(4)
+        cfg = LearnerConfig(spec=spec, m=30, seed=1, eta_override=1e-300, alpha_override=0.5)
+        with pytest.raises(NotInHull):
+            mbeg(dist, cfg)
 
     def test_converges_on_planted_coordinate(self):
         dist = dyadic_fixture(6, s=4, eps=0.25, c=4.0)

@@ -317,6 +317,16 @@ class TestCachedMoments:
         with pytest.raises(ValueError):
             mom.C[0, 0] = 1.0
 
+    def test_eigensystem_is_shared_and_read_only(self):
+        mom = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)).moments
+        assert mom.eig is mom.eig
+        fresh = sym_eig(mom.C)
+        assert np.array_equal(mom.eig.values, fresh.values)
+        assert np.array_equal(mom.eig.vectors, fresh.vectors)
+        for arr in (mom.eig.values, mom.eig.vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
 
 class TestJsonRoundTrip:
     def test_plain_distribution(self, tmp_path):

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_bandits.errors import DimMismatch, InvalidMatrix, SingularLog
+from subspace_bandits.errors import DimMismatch, InvalidMatrix
 from subspace_bandits.spectral import (
     frob_inner,
     spectral_norm,
     sym_eig,
-    sym_fn,
     sym_matrix,
 )
 
@@ -105,41 +104,6 @@ class TestSymEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrix):
             sym_eig(np.full((2, 2), np.inf))
-
-
-class TestSymFn:
-    def test_exp_of_zero_is_identity(self):
-        assert np.allclose(sym_fn(np.zeros((3, 3)), "exp"), np.eye(3), atol=1e-12)
-
-    def test_log_inverts_exp_on_diagonal(self):
-        m = sym_fn(np.diag([1.0, 2.0]), "exp")
-        assert np.max(np.abs(sym_fn(m, "log") - np.diag([1.0, 2.0]))) <= 1e-9
-
-    def test_round_trip_on_random_spd(self):
-        rng = rng_for(5)
-        v = random_orthonormal(rng, 4, 4)
-        w = (v * rng.uniform(0.1, 2.0, size=4)) @ v.T
-        w = 0.5 * (w + w.T)
-        assert np.max(np.abs(sym_fn(sym_fn(w, "log"), "exp") - w)) <= 1e-9
-
-    def test_exp_is_positive_definite(self):
-        rng = rng_for(6)
-        for _ in range(20):
-            m = sym_matrix(rng.standard_normal((4, 4)))
-            vals = np.linalg.eigvalsh(sym_fn(m, "exp"))
-            assert vals.min() > 0
-
-    def test_log_clamps_underflow(self):
-        out = sym_fn(np.zeros((2, 2)), "log")
-        assert np.all(np.isfinite(out))
-
-    def test_log_without_clamp_raises(self):
-        with pytest.raises(SingularLog):
-            sym_fn(np.zeros((2, 2)), "log", clamp_log=False)
-
-    def test_unknown_fn(self):
-        with pytest.raises(ValueError):
-            sym_fn(np.eye(2), "sqrt")
 
 
 class TestFrobInner:
