@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Compare benchmark runs of two checkouts, workload by workload.
+
+Reads every ``bench/out/<workload>-seed<S>-trace<T>.json`` written by
+``bench/run.py`` in a parent checkout and a change checkout and pairs the
+runs by trace setting, workload and seed.  Untraced runs (``--trace 0``) are
+compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
+(``--trace 1``) on its per-layer metrics.  For each workload it reports:
+
+* the median and quartiles of each metric, for both checkouts, the ratio of
+  the medians and the number of seed pairs in which the change is better;
+* the trial count of every run;
+* whether the two runs of each seed have the same digest, and whether every
+  output check passed;
+
+and once, the machine the runs came from (the metadata of the change's runs).
+
+Usage:
+
+    python scripts/bench_compare.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
+        [--out BENCH_n.json] [--parent-label REV] [--change-label REV]
+
+The table goes to stdout; ``--out`` also writes it as JSON.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+RUN_NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>\d)\.json$")
+VIEWS = (("end_to_end", 0), ("per_layer", 1))  # BENCHMARK.json metric list, --trace setting
+MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
+
+
+def load_runs(checkout: Path) -> dict:
+    """{trace: {workload: {seed: report}}} for the runs of one checkout."""
+    runs: dict = {}
+    for path in sorted((checkout / "bench" / "out").glob("*.json")):
+        match = RUN_NAME.match(path.name)
+        if match:
+            by_workload = runs.setdefault(int(match["trace"]), {})
+            by_workload.setdefault(match["workload"], {})[int(match["seed"])] = json.loads(
+                path.read_text()
+            )
+    return runs
+
+
+def spread(values: list[float]) -> dict:
+    q25, median, q75 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"median": median, "q25": q25, "q75": q75, "values": values}
+
+
+def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
+    seeds = sorted(set(parent) & set(change))
+    out: dict = {"seeds": seeds, "metrics": {}}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        if not all(name in runs[s]["metrics"] for runs in (parent, change) for s in seeds):
+            continue  # a layer this workload never reaches
+        old = [parent[s]["metrics"][name]["value"] for s in seeds]
+        new = [change[s]["metrics"][name]["value"] for s in seeds]
+        better = sum((n > o) if higher else (n < o) for o, n in zip(old, new))
+        base = statistics.median(old)
+        out["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "parent": spread(old),
+            "change": spread(new),
+            "ratio_of_medians": statistics.median(new) / base if base else None,
+            "change_better_pairs": f"{better}/{len(seeds)}",
+        }
+    out["trials"] = {
+        "parent": [parent[s]["extras"]["trials"] for s in seeds],
+        "change": [change[s]["extras"]["trials"] for s in seeds],
+    }
+    out["digests_equal"] = all(
+        parent[s]["extras"]["digest"] == change[s]["extras"]["digest"] for s in seeds
+    )
+    out["checks_passed"] = {
+        side: all(c["passed"] for s in seeds for c in runs[s]["checks"])
+        and not any(runs[s]["failed_trials"] for s in seeds)
+        for side, runs in (("parent", parent), ("change", change))
+    }
+    return out
+
+
+def _ratio(value) -> str:
+    return "n/a" if value is None else f"{value:.3f}"
+
+
+def render(report: dict) -> str:
+    lines = [f"machine: {json.dumps(report['machine'])}"]
+    for view, _ in VIEWS:
+        for workload, res in report[view].items():
+            lines.append(f"\n[{view}] {workload}  seeds {res['seeds']}  digests equal: "
+                         f"{res['digests_equal']}  checks passed: {res['checks_passed']}")
+            lines.append(f"  trials  parent {res['trials']['parent']}  change {res['trials']['change']}")
+            for name, m in res["metrics"].items():
+                p, c = m["parent"], m["change"]
+                lines.append(
+                    f"  {name:<13} parent {p['median']:.4g} [{p['q25']:.4g}, {p['q75']:.4g}]"
+                    f"  change {c['median']:.4g} [{c['q25']:.4g}, {c['q75']:.4g}] {m['unit']}"
+                    f"  ratio {_ratio(m['ratio_of_medians'])}  change better {m['change_better_pairs']}"
+                )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--out", type=Path, help="also write the comparison as JSON here")
+    ap.add_argument("--parent-label", default=None, help="revision of the parent, for the JSON")
+    ap.add_argument("--change-label", default=None, help="revision of the change, for the JSON")
+    args = ap.parse_args(argv)
+
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    parent, change = load_runs(args.parent), load_runs(args.change)
+    views = {
+        view: {
+            w: compare_workload(benchmark[view], parent[trace][w], change[trace][w])
+            for w in sorted(set(parent.get(trace, {})) & set(change.get(trace, {})))
+        }
+        for view, trace in VIEWS
+    }
+    if not any(views.values()):
+        print("no workload has runs in both checkouts", file=sys.stderr)
+        return 1
+    meta = next(
+        run for by_workload in change.values() for by_seed in by_workload.values()
+        for run in by_seed.values()
+    )["meta"]
+    report = {
+        "parent": args.parent_label,
+        "change": args.change_label,
+        "seconds": meta["seconds"],
+        "machine": {key: meta.get(key) for key in MACHINE_KEYS},
+        **views,
+    }
+    print(render(report))
+    if args.out:
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

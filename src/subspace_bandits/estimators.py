@@ -17,7 +17,6 @@ and averaging the split-half estimate over all index tuples does the same.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,42 +179,52 @@ def draw_pair(probs: PairProbabilities, rng: np.random.Generator) -> tuple[int, 
 
 
 class MbegPairSampler:
-    """Ordered pairs (s, q) with the law of ``mbeg_pair_probs(diag, alpha, k)``, and their probability.
+    """Ordered pairs (s, q) from a block of uniforms, with the law of ``mbeg_pair_probs``.
 
     The table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 is the
     mixture: with weight alpha a uniform pair; with weight (1-alpha)/2,
     s proportional to W_ss and q uniform; with weight (1-alpha)/2, s uniform
-    and q proportional to W_qq.  ``diag`` is the diagonal of W, nonnegative
-    and summing to k.  Building the sampler takes the diagonal's prefix sum
-    once, in O(d); each ``draw`` consumes exactly one ``rng.random(3)``
-    (branch, s, q), bisects that prefix sum at most once, and returns p as
-    the table's own formula, so p equals the table entry exactly.
+    and q proportional to W_qq.  Row t of ``u`` holds pair t's three
+    uniforms (branch, s, q).  A coordinate drawn uniformly is
+    ``min(int(u * d), d - 1)``; one drawn in proportion to the diagonal is the
+    first index whose prefix sum exceeds ``u * sum(diag)``, or d - 1 if none
+    does.  The branches and the uniform coordinates do not depend on W, so
+    they are mapped once, when the block is built; ``pairs`` resolves the
+    weighted coordinates of a run of rows under the diagonal it is given, so
+    one block serves every iterate that draws from it.
     """
 
-    __slots__ = ("_d", "_k", "_alpha", "_split", "_diag", "_cum")
+    __slots__ = ("_d", "_k", "_alpha", "_keys", "_uniform", "_weighted")
 
-    def __init__(self, diag, alpha: float, k: int):
+    def __init__(self, u, d: int, alpha: float, k: int):
         if not 0 <= alpha <= 0.5:
             raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
-        diag = np.asarray(diag, dtype=float)
-        self._d = diag.size
-        self._k = k
-        self._alpha = alpha
-        self._split = 0.5 * (1 + alpha)
-        self._diag = diag.tolist()
-        self._cum = np.cumsum(diag).tolist()
+        u = np.asarray(u, dtype=float)
+        self._d, self._k, self._alpha = d, k, alpha
+        self._keys = u[:, 1:3]
+        # Counting the grid points 1 .. d-1 at or below u * d clamps the index at d - 1.
+        self._uniform = np.arange(1.0, d).searchsorted(self._keys * d, "right")
+        # branch below alpha: uniform pair; below (1+alpha)/2: s weighted; above: q weighted
+        branch = np.array([alpha, 0.5 * (1 + alpha)]).searchsorted(u[:, 0], "right")
+        self._weighted = branch[:, None] == (1, 2)
 
-    def draw(self, rng: np.random.Generator) -> tuple[int, int, float]:
-        d, alpha, cum = self._d, self._alpha, self._cum
-        branch, u_s, u_q = rng.random(3).tolist()
-        s = min(int(u_s * d), d - 1)
-        q = min(int(u_q * d), d - 1)
-        if branch >= alpha:
-            if branch < self._split:
-                s = min(bisect.bisect_right(cum, u_s * cum[-1]), d - 1)
-            else:
-                q = min(bisect.bisect_right(cum, u_q * cum[-1]), d - 1)
-        diag = self._diag
+    def pairs(self, diag, start: int = 0, stop: int | None = None):
+        """(s, q, p) arrays for rows ``start:stop`` under the diagonal ``diag`` of W.
+
+        ``diag`` is nonnegative and sums to k; p is the table's own formula,
+        so it equals the table entry exactly.
+        """
+        rows = slice(start, stop)
+        d, alpha = self._d, self._alpha
+        diag = np.asarray(diag, dtype=float)
+        if diag.size != d:
+            raise DimMismatch(f"diagonal has {diag.size} entries, expected d={d}")
+        cum = diag.cumsum()
+        sq = self._uniform[rows].copy()
+        weighted = self._weighted[rows]
+        # Searching all but the last prefix sum clamps the index at d - 1.
+        sq[weighted] = cum[:-1].searchsorted(self._keys[rows][weighted] * cum[-1], "right")
+        s, q = sq.T
         p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + alpha / d**2
         return s, q, p
 

@@ -50,7 +50,7 @@ from .estimators import (
     mbeg_estimate,
     split_halves,
 )
-from .oracles import DistributionSpec, observe
+from .oracles import DistributionSpec, observe, observe_pairs
 from .seeding import make_rng
 from .spectral import LOG_FLOOR, EigenSystem, spectral_norm, sym_eig
 
@@ -133,18 +133,22 @@ def entropic_project(mu, k: int) -> np.ndarray:
     d = v.size
     if not 1 <= k <= d:
         raise InfeasibleK(f"target trace {k} must lie in [1, {d}]")
-    if float(v.min()) <= 0:
-        raise ValueError(f"spectrum must be strictly positive, got min {v.min():.3g}")
-    order = np.argsort(-v, kind="stable")
-    sorted_desc = v[order]
-    tail = np.cumsum(sorted_desc[::-1])[::-1]  # tail[c] = sum over sorted_desc[c:]
+    ascending = np.sort(v)
+    lo, hi = float(ascending[0]), float(ascending[-1])
+    if not lo > 0 or math.isnan(hi):
+        raise ValueError(
+            f"spectrum must be strictly positive and not NaN, got min {lo:.3g}, max {hi:.3g}"
+        )
+    # Capping the c largest entries leaves the d - c smallest to rescale; their
+    # sum is the ascending running sum up to position d - 1 - c.
+    running = np.cumsum(ascending)
     # c = k - 1 always satisfies the cap condition, so the loop cannot fall through.
     for c in range(k):
-        t = (k - c) / tail[c]
-        if t * sorted_desc[c] <= 1 + 1e-15:
-            out_sorted = np.concatenate([np.ones(c), t * sorted_desc[c:]])
-            out = np.empty(d)
-            out[order] = out_sorted
+        t = (k - c) / float(running[d - 1 - c])
+        if t * float(ascending[d - 1 - c]) <= 1 + 1e-15:
+            out = t * v
+            if c:
+                out[np.argsort(-v, kind="stable")[:c]] = 1.0
             return out
     raise AssertionError("cap search failed on a positive spectrum")
 
@@ -307,11 +311,23 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     return (pi, trace) if return_trace else pi
 
 
-def _mbeg_iterate(w, basis, alpha: float, k: int):
-    """The iterate W = V diag(w) V^T, its pair sampler, and its hull statistics."""
+def _mbeg_iterate(w, basis, k: int):
+    """The iterate W = V diag(w) V^T and its hull statistics."""
     w_now = (basis * w) @ basis.T
-    stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
-    return w_now, MbegPairSampler(np.diagonal(w_now), alpha, k), stats
+    spectrum = w.tolist()
+    return w_now, (abs(float(w.sum()) - k), min(spectrum), max(spectrum))
+
+
+def _check_iterate(stats, step: int) -> None:
+    trace_err, w_min, w_max = stats
+    if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
+        raise NotInHull(
+            f"iterate left the hull at step {step}: trace error {trace_err:.3g}, "
+            f"spectrum [{w_min:.6g}, {w_max:.6g}]"
+        )
+
+
+_MBEG_CHUNK = 1024  # steps whose uniforms mbeg draws in one block
 
 
 def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
@@ -325,6 +341,14 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     simplex in relative entropy.  A zero estimate makes that update the
     identity, so such steps skip it and keep the iterate.  The returned
     projector is sampled from the decomposition of the iterate average.
+
+    Every step takes four uniforms from the stream: branch, s and q for the
+    pair, then the oracle's.  They are drawn in blocks of up to
+    ``_MBEG_CHUNK`` steps, and the steps up to the next nonzero estimate are
+    mapped as a window under the current iterate, so a run of skipped steps
+    costs a few array operations.  After an update the next window is as
+    long as the gap between the last two informative steps, and each window
+    without one doubles the next.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
@@ -345,51 +369,60 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     d, k = spec.d, spec.k
     w = np.full(d, k / d)      # iterate spectrum
     basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
-    w_now, sampler, (trace_err, w_min, w_max) = _mbeg_iterate(w, basis, alpha, k)
+    w_now, stats = _mbeg_iterate(w, basis, k)
+    # Each iterate is checked at the step that makes it, where a per-step
+    # check would first see it.
+    _check_iterate(stats, 0)
     w_bar = np.zeros((d, d))
     held = 0  # steps W_now has been the iterate, not yet added to w_bar
+    last = -1  # the last informative step
+    window = 1
 
-    for i in range(cfg.m):
-        held += 1  # the average runs over W_1 .. W_m, each pre-update
-        s, q, p = sampler.draw(rng)
-        obs = observe(dist, (s, q), rng)
-        x_s, x_q = float(obs.values[0]), float(obs.values[1])
-        # the single term of mbeg_estimate(s, q, x_s, x_q, p)
-        v = x_s * x_q / p if s == q else x_s * x_q / (2 * p)
-
-        # A zero estimate makes exp(log W + eta * 0) = W, already in the hull,
-        # so the projection keeps it: the iterate, its sampler and its hull
-        # statistics carry over unchanged.
-        if v != 0.0:
-            w_bar += held * w_now
-            held = 0
-            m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-            m_update[s, q] += eta * v
-            if s != q:
-                m_update[q, s] += eta * v
-            # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
-            # projection maps tied values to tied values, so order is irrelevant.
-            vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
-            w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
-            w_now, sampler, (trace_err, w_min, w_max) = _mbeg_iterate(w, basis, alpha, k)
-
-        if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
-            raise NotInHull(
-                f"iterate left the hull at step {i}: trace error {trace_err:.3g}, "
-                f"spectrum [{w_min:.6g}, {w_max:.6g}]"
-            )
-        if trace is not None:
-            trace.steps.append(
-                StepDiagnostics(
-                    step=i,
-                    indices=(s, q),
-                    estimate_terms=mbeg_estimate(s, q, x_s, x_q, p, d=d).terms,
-                    estimate_spectral_norm=abs(v),
-                    iterate_trace_error=trace_err,
-                    iterate_min_eig=w_min,
-                    iterate_max_eig=w_max,
+    for block_start in range(0, cfg.m, _MBEG_CHUNK):
+        block = rng.random((min(_MBEG_CHUNK, cfg.m - block_start), 4))
+        sampler = MbegPairSampler(block[:, :3], d, alpha, k)
+        a = 0  # the block's next row to map
+        while a < block.shape[0]:
+            s, q, p = sampler.pairs(w_now.diagonal(), a, a + window)
+            x_s, x_q = observe_pairs(dist, s, q, block[a : a + window, 3])
+            prod = x_s * x_q
+            # The first nonzero estimate ends the window; it needs a nonzero product.
+            n, v = s.size, 0.0
+            for j in prod.nonzero()[0].tolist():
+                # the single term of mbeg_estimate(s, q, x_s, x_q, p)
+                v = prod[j] / p[j] if s[j] == q[j] else prod[j] / (2 * p[j])
+                if v != 0.0:
+                    n = j + 1
+                    break
+            held += n  # the average runs over W_1 .. W_m, each pre-update
+            before = stats
+            # A zero estimate makes exp(log W + eta * 0) = W, already in the
+            # hull, so the projection keeps it: the window's skipped steps keep
+            # the iterate and its hull statistics.
+            if v != 0.0:
+                step = block_start + a + n - 1
+                s_j, q_j, v_j = int(s[n - 1]), int(q[n - 1]), float(v)
+                w_bar += held * w_now
+                held = 0
+                m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+                m_update[s_j, q_j] += eta * v_j
+                if s_j != q_j:
+                    m_update[q_j, s_j] += eta * v_j
+                # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
+                # projection maps tied values to tied values, so order is irrelevant.
+                vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+                w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+                w_now, stats = _mbeg_iterate(w, basis, k)
+                _check_iterate(stats, step)
+                window = step - last
+                last = step
+            else:
+                window *= 2
+            if trace is not None:
+                _trace_window(
+                    trace, block_start + a, d, s[:n], q[:n], x_s[:n], x_q[:n], p[:n], before, stats
                 )
-            )
+            a += n
 
     w_bar += held * w_now
     w_bar /= cfg.m
@@ -402,6 +435,30 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
         trace.final_matrix = 0.5 * (w_bar + w_bar.T)
     pi = sample_component(decompose(hull, k), rng)
     return (pi, trace) if return_trace else pi
+
+
+def _trace_window(trace, first, d, s, q, x_s, x_q, p, before, after):
+    """One StepDiagnostics per mapped step.
+
+    Steps with a zero estimate report the statistics of the iterate they kept
+    (``before``); a step with a nonzero estimate, only ever the window's last,
+    reports those of the iterate it made (``after``).
+    """
+    rows = zip(s.tolist(), q.tolist(), x_s.tolist(), x_q.tolist(), p.tolist())
+    for offset, (s_t, q_t, xs_t, xq_t, p_t) in enumerate(rows):
+        terms = mbeg_estimate(s_t, q_t, xs_t, xq_t, p_t, d=d).terms
+        trace_err, w_min, w_max = after if terms[0][2] != 0.0 else before
+        trace.steps.append(
+            StepDiagnostics(
+                step=first + offset,
+                indices=(s_t, q_t),
+                estimate_terms=terms,
+                estimate_spectral_norm=abs(terms[0][2]),
+                iterate_trace_error=trace_err,
+                iterate_min_eig=w_min,
+                iterate_max_eig=w_max,
+            )
+        )
 
 
 def full_info_pca(samples, k: int) -> ProjectionMatrix:

@@ -186,6 +186,26 @@ def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> Partia
     return PartialObservation(indices=idx, values=dist._rows[row].take(idx))
 
 
+def observe_pairs(dist: DistributionSpec, s, q, u) -> tuple[np.ndarray, np.ndarray]:
+    """Block form of :func:`observe` for coordinate pairs: arrays (x_s, x_q).
+
+    Row t draws one vector with the uniform ``u[t]``, exactly as ``observe``
+    does with its one uniform, and reveals only its coordinates ``s[t]`` and
+    ``q[t]``.  Indices that are not integers in [0, d) raise
+    :class:`BadIndex`, as in ``observe``.
+    """
+    rows = dist._cum_probs.searchsorted(u, "right")
+    try:
+        at_s = np.ravel_multi_index((rows, s), dist.points.shape)
+        at_q = np.ravel_multi_index((rows, q), dist.points.shape)
+    except (TypeError, ValueError) as exc:
+        raise BadIndex(
+            f"pair indices must be integer arrays in [0, {dist.d}), one pair per uniform in [0, 1)"
+        ) from exc
+    flat = dist.points.ravel()
+    return flat[at_s], flat[at_q]
+
+
 def sample_instances(dist: DistributionSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` full vectors (full-information access).
 

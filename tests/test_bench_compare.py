@@ -1,0 +1,101 @@
+"""``scripts/bench_compare.py`` on two synthetic checkouts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_compare.py"
+BENCHMARK = {
+    "end_to_end": [
+        {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "trial_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    ],
+    "per_layer": [
+        {"name": "trials_per_s", "unit": "1/s", "better": "higher"},
+        {"name": "learners.mbgd.self_ms", "unit": "ms/trial", "better": "lower"},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def bench_compare():
+    spec = importlib.util.spec_from_file_location("bench_compare", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True):
+    out = checkout / "bench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    report = {
+        "meta": {"workload": workload, "seed": seed, "seconds": 25.0, "nproc": 2, "numpy": "2.x"},
+        "extras": {"trials": int(trials_per_s * 25), "digest": digest},
+        "checks": [{"name": "output", "passed": passed, "detail": ""}],
+        "failed_trials": [],
+        "metrics": {
+            "trials_per_s": {"value": trials_per_s, "unit": "1/s"},
+            "trial_ms_p50": {"value": 1000.0 / trials_per_s, "unit": "ms"},
+        },
+    }
+    if trace:
+        del report["metrics"]["trial_ms_p50"]
+        report["metrics"]["learners.mbgd.self_ms"] = {"value": 0.0, "unit": "ms/trial"}
+    (out / f"{workload}-seed{seed}-trace{trace}.json").write_text(json.dumps(report))
+
+
+def test_pairs_runs_by_seed_and_reports_spread(tmp_path, bench_compare, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    for seed, old, new in ((101, 10.0, 28.0), (102, 11.0, 29.0), (103, 9.0, 8.0)):
+        write_run(parent, "mbeg-d16", seed, old, f"d{seed}")
+        write_run(change, "mbeg-d16", seed, new, f"d{seed}")
+    write_run(change, "mbeg-d16", 104, 30.0, "d104")  # no parent run: left out
+    write_run(parent, "mbeg-d16", 101, 1.0, "d101", trace=1)  # traced: the per-layer view
+    write_run(change, "mbeg-d16", 101, 2.0, "d101", trace=1)
+    out = tmp_path / "BENCH.json"
+
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    res = report["end_to_end"]["mbeg-d16"]
+    assert res["seeds"] == [101, 102, 103]
+    tps = res["metrics"]["trials_per_s"]
+    assert tps["parent"]["median"] == 10.0 and tps["change"]["median"] == 28.0
+    assert tps["change"]["q25"] == 18.0 and tps["change"]["q75"] == 28.5
+    assert tps["change_better_pairs"] == "2/3"
+    assert tps["ratio_of_medians"] == pytest.approx(2.8)
+    assert res["metrics"]["trial_ms_p50"]["change_better_pairs"] == "2/3"
+    assert res["trials"]["change"] == [700, 725, 200]
+    assert res["digests_equal"] is True
+    assert res["checks_passed"] == {"parent": True, "change": True}
+    assert report["machine"]["nproc"] == 2
+    # a metric the traced runs do not report is left out; a zero base has no ratio
+    layers = report["per_layer"]["mbeg-d16"]["metrics"]
+    assert list(layers) == ["trials_per_s", "learners.mbgd.self_ms"]
+    assert layers["learners.mbgd.self_ms"]["ratio_of_medians"] is None
+    assert report["per_layer"]["mbeg-d16"]["metrics"]["trials_per_s"]["change"]["median"] == 2.0
+    assert "mbeg-d16" in capsys.readouterr().out
+
+
+def test_flags_digest_change_and_failed_checks(tmp_path, bench_compare):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    write_run(parent, "split-half", 1, 5.0, "aaaa")
+    write_run(change, "split-half", 1, 5.0, "bbbb", passed=False)
+    out = tmp_path / "BENCH.json"
+    bench_compare.main([str(parent), str(change), "--out", str(out)])
+    res = json.loads(out.read_text())["end_to_end"]["split-half"]
+    assert res["digests_equal"] is False
+    assert res["checks_passed"] == {"parent": True, "change": False}
+
+
+def test_no_common_workload_is_an_error(tmp_path, bench_compare):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    write_run(change, "split-half", 1, 5.0, "aaaa")
+    assert bench_compare.main([str(tmp_path / "parent"), str(change)]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import BadAlpha, OddBudget, ZeroProbability
+from subspace_bandits.errors import BadAlpha, DimMismatch, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     MbegPairSampler,
     PairProbabilities,
@@ -22,7 +22,7 @@ from subspace_bandits.oracles import PartialObservation
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import spectral_norm
 
-from util import random_hull_element, random_hull_spectrum
+from util import ScalarPairSampler, random_hull_element, random_hull_spectrum
 
 
 def obs_from(x, indices):
@@ -244,15 +244,14 @@ class TestDrawMbegPair:
     def test_mixture_law_equals_table(self, alpha, k):
         # Exact law of the sampler: every cell of its piecewise-constant map
         # from (branch, u_s, u_q) to (s, q), weighted by the cell's volume and
-        # routed through the sampler at the cell's midpoint.
+        # mapped at the cell's midpoint, all cells in one block.
         rng = make_rng(40 + k)
         d = 5
         uniform_cells = [(j / d, (j + 1) / d) for j in range(d)]
         for diag in _hull_diagonals(rng, d, k, 4):
-            sampler = MbegPairSampler(diag, alpha, k)
             edges = np.concatenate([[0.0], np.cumsum(diag) / diag.sum()])
             weighted_cells = list(zip(edges[:-1], edges[1:]))
-            law = np.zeros((d, d))
+            mids, masses = [], []
             for (b_lo, b_hi), s_cells, q_cells in (
                 ((0.0, alpha), uniform_cells, uniform_cells),
                 ((alpha, (1 + alpha) / 2), weighted_cells, uniform_cells),
@@ -263,9 +262,11 @@ class TestDrawMbegPair:
                         mass = (b_hi - b_lo) * (s_hi - s_lo) * (q_hi - q_lo)
                         if mass == 0:
                             continue
-                        mid = [(b_lo + b_hi) / 2, (s_lo + s_hi) / 2, (q_lo + q_hi) / 2]
-                        s, q, _ = sampler.draw(_FixedUniforms(mid))
-                        law[s, q] += mass
+                        mids.append([(b_lo + b_hi) / 2, (s_lo + s_hi) / 2, (q_lo + q_hi) / 2])
+                        masses.append(mass)
+            s, q, _ = MbegPairSampler(np.array(mids), d, alpha, k).pairs(diag)
+            law = np.zeros((d, d))
+            np.add.at(law, (s, q), masses)
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
             assert np.max(np.abs(law - table)) <= 1e-15
 
@@ -274,12 +275,10 @@ class TestDrawMbegPair:
         d, k, alpha = 3, 1, 0.3
         diag = _hull_diagonals(rng, d, k, 1)[0]
         table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
-        sampler = MbegPairSampler(diag, alpha, k)
-        counts = np.zeros((d, d))
         n = 60_000
-        for _ in range(n):
-            s, q, _ = sampler.draw(rng)
-            counts[s, q] += 1
+        s, q, _ = MbegPairSampler(rng.random((n, 3)), d, alpha, k).pairs(diag)
+        counts = np.zeros((d, d))
+        np.add.at(counts, (s, q), 1)
         # the largest cell standard deviation is below 0.0021, so 0.01 is ~5 sd
         assert np.max(np.abs(counts / n - table)) < 0.01
 
@@ -290,14 +289,41 @@ class TestDrawMbegPair:
         d = 6
         for diag in _hull_diagonals(rng, d, k, 5):
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
-            sampler = MbegPairSampler(diag, alpha, k)
-            for _ in range(40):
-                s, q, p = sampler.draw(rng)
-                assert p == table[s, q]
+            s, q, p = MbegPairSampler(rng.random((40, 3)), d, alpha, k).pairs(diag)
+            assert np.array_equal(p, table[s, q])
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 16])
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5])
+    def test_block_matches_scalar_draw(self, d, alpha):
+        # Random rows plus the edges of every map: 0, the largest double below
+        # 1, the cell boundaries j/d and the branch thresholds themselves.
+        rng = make_rng(47 + d)
+        k = 1
+        edges = [0.0, np.nextafter(1.0, 0.0), alpha, (1 + alpha) / 2]
+        edges += [j / d for j in range(d)]
+        u = np.concatenate([rng.random((300, 3)), rng.choice(edges, size=(300, 3))])
+        # a uniform diagonal puts prefix sums on the edges j/d; a basis vector has zeros
+        diags = _hull_diagonals(rng, d, k, 3) + [np.full(d, k / d), np.eye(d)[0] * k]
+        for diag in diags:
+            sampler = MbegPairSampler(u, d, alpha, k)
+            ref = ScalarPairSampler(diag, alpha, k)
+            s, q, p = sampler.pairs(diag)
+            expected = [ref.draw(_FixedUniforms(row)) for row in u]
+            assert s.tolist() == [e[0] for e in expected]
+            assert q.tolist() == [e[1] for e in expected]
+            assert p.tobytes() == np.array([e[2] for e in expected]).tobytes()
+            # a run of rows maps as it does inside the whole block
+            s_run, q_run, p_run = sampler.pairs(diag, 250, 420)
+            assert np.array_equal(s_run, s[250:420]) and np.array_equal(q_run, q[250:420])
+            assert p_run.tobytes() == p[250:420].tobytes()
 
     def test_rejects_alpha_above_half(self):
         with pytest.raises(BadAlpha):
-            MbegPairSampler(np.full(2, 0.5), 0.6, 1)
+            MbegPairSampler(np.full((1, 3), 0.5), 2, 0.6, 1)
+
+    def test_rejects_a_diagonal_of_the_wrong_size(self):
+        with pytest.raises(DimMismatch):
+            MbegPairSampler(np.full((1, 3), 0.5), 3, 0.3, 1).pairs(np.full(2, 0.5))
 
 
 class TestMbegEstimate:

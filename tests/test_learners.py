@@ -40,13 +40,16 @@ from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
 from subspace_bandits.spectral import EigenSystem, sym_eig
 
+import util
 from util import (
+    argsort_entropic_project,
     bisection_capped_projection,
     bisection_entropic,
     brute_force_capped_projection,
     brute_force_scaled_simplex,
     dense_mbeg_replay,
     entropic_objective,
+    scalar_mbeg,
 )
 
 
@@ -212,9 +215,30 @@ class TestEntropicProjection:
             w = capped_simplex_project(rng.uniform(0, 1.5, size=4), k)
             assert best <= entropic_objective(w, mu) + 1e-9
 
+    @pytest.mark.parametrize("family", ["random", "heavy-tailed", "tied", "tied-capped"])
+    def test_bytes_match_the_argsort_version(self, family):
+        # The common case skips the argsort; the output must not move by a bit.
+        rng = make_rng(33)
+        for d in range(1, 65):
+            for k in range(1, min(d, 5) + 1):
+                for _ in range(15):
+                    if family == "random":
+                        mu = rng.uniform(1e-4, 10.0, size=d)
+                    elif family == "heavy-tailed":
+                        mu = np.exp(8.0 * rng.standard_normal(d))
+                    elif family == "tied":
+                        mu = rng.choice([0.05, 0.3, 1.0, 2.5], size=d)
+                    else:  # a tied group large enough that the caps split it
+                        mu = rng.uniform(0.01, 1.0, size=d)
+                        mu[rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)] = 50.0
+                    out = entropic_project(mu, k)
+                    assert out.tobytes() == argsort_entropic_project(mu, k).tobytes(), (d, k, mu)
+
     def test_requires_positive_spectrum(self):
         with pytest.raises(ValueError):
             entropic_project([1.0, 0.0], 1)
+        with pytest.raises(ValueError):
+            entropic_project([1.0, np.nan, 2.0], 2)
 
     def test_infeasible_k(self):
         with pytest.raises(InfeasibleK):
@@ -379,6 +403,61 @@ def half_zero_hadamard_coin():
     return make_finite_support(support, spec, tag="half-zero-hadamard-coin")
 
 
+DEFAULT_BUDGET_FIXTURES = [
+    (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.25, c=4.0)),
+    (
+        DomainSpec(d=8, k=2, r=2, G=1.0),
+        coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0)),
+    ),
+    (
+        DomainSpec(d=8, k=2, r=2, G=2.0),
+        coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)),
+    ),
+    (DomainSpec(d=8, k=2, r=2, G=2.0), half_zero_hadamard_coin()),
+    (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.05, c=4.0)),
+]
+DEFAULT_BUDGET_IDS = [
+    "dyadic-d16-k1",
+    "coin-d8-k2",
+    "hadamard-coin-d8-k2",
+    "half-zero-hadamard-coin-d8-k2",
+    "dyadic-d16-k1-eps0.05",
+]
+
+
+def recorded_run(monkeypatch, learner, dist, cfg):
+    """``learner(dist, cfg, return_trace=True)`` plus the next uniform of the generator it built.
+
+    ``make_rng`` is wrapped where the learner looks it up: in ``learners``
+    for the library, in ``util`` for the scalar reference.
+    """
+    module = learners if learner is mbeg else util
+    made = []
+
+    def recording(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "make_rng", recording)
+        pi, trace = learner(dist, cfg, return_trace=True)
+    assert len(made) == 1
+    return pi, trace, made[0].random()
+
+
+def assert_same_as_scalar_loop(monkeypatch, dist, cfg):
+    """The block loop and the scalar loop agree to the byte, the generator's position included."""
+    pi, trace, next_u = recorded_run(monkeypatch, mbeg, dist, cfg)
+    ref_pi, ref_trace, ref_next_u = recorded_run(monkeypatch, scalar_mbeg, dist, cfg)
+    assert pi.matrix.tobytes() == ref_pi.matrix.tobytes()
+    assert trace.final_matrix.tobytes() == ref_trace.final_matrix.tobytes()
+    assert len(trace.steps) == len(ref_trace.steps) == cfg.m
+    # repr tells a Python float from a numpy scalar and 0.0 from -0.0
+    assert repr(trace.steps) == repr(ref_trace.steps)
+    assert next_u == ref_next_u
+    return trace
+
+
 class TestMbeg:
     def test_budget_must_be_two(self):
         spec = DomainSpec(d=4, k=1, r=4, G=1.0)
@@ -467,29 +546,65 @@ class TestMbeg:
         _, trace = mbeg(dist, cfg, return_trace=True)
         assert trace.final_matrix[4, 4] >= 0.5
 
+    @pytest.mark.parametrize("seed", [13, 14, 15, 16, 17])
+    @pytest.mark.parametrize("spec, dist", DEFAULT_BUDGET_FIXTURES, ids=DEFAULT_BUDGET_IDS)
+    def test_matches_scalar_loop_at_default_budget(self, monkeypatch, spec, dist, seed):
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=seed)
+        assert_same_as_scalar_loop(monkeypatch, dist, cfg)
+
+    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2049])
+    def test_matches_scalar_loop_at_block_edges(self, monkeypatch, m):
+        dist = dyadic_fixture(8, s=2, eps=0.1, c=4.0)
+        spec = DomainSpec(d=8, k=1, r=2, G=1.0)
+        cfg = LearnerConfig(spec=spec, m=m, seed=21, alpha_override=0.3)
+        assert_same_as_scalar_loop(monkeypatch, dist, cfg)
+
+    def test_matches_scalar_loop_when_the_first_step_updates(self, monkeypatch):
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+        cfg = LearnerConfig(spec=spec, m=300, seed=22)
+        trace = assert_same_as_scalar_loop(monkeypatch, dist, cfg)
+        assert trace.steps[0].estimate_terms[0][2] != 0.0
+
     @pytest.mark.parametrize(
-        "spec, dist",
-        [
-            (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.25, c=4.0)),
-            (
-                DomainSpec(d=8, k=2, r=2, G=1.0),
-                coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0)),
-            ),
-            (
-                DomainSpec(d=8, k=2, r=2, G=2.0),
-                coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)),
-            ),
-            (DomainSpec(d=8, k=2, r=2, G=2.0), half_zero_hadamard_coin()),
-            (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.05, c=4.0)),
-        ],
-        ids=[
-            "dyadic-d16-k1",
-            "coin-d8-k2",
-            "hadamard-coin-d8-k2",
-            "half-zero-hadamard-coin-d8-k2",
-            "dyadic-d16-k1-eps0.05",
-        ],
+        "overrides",
+        [{"alpha_override": 0.2}, {"eta_override": 0.01}, {"alpha_override": 0.5, "eta_override": 0.3}],
     )
+    def test_matches_scalar_loop_with_overrides(self, monkeypatch, overrides):
+        # large steps drive the iterate into the caps of the entropic projection
+        spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=23, **overrides)
+        assert_same_as_scalar_loop(monkeypatch, half_zero_hadamard_coin(), cfg)
+
+    def test_hull_gate_fires_inside_a_block(self, monkeypatch):
+        # An out-of-hull spectrum from the third update must be reported at
+        # that step, as the scalar loop reports it, not at a block boundary.
+        dist = dyadic_fixture(16, s=1, eps=0.25, c=4.0)
+        spec = DomainSpec(d=16, k=1, r=2, G=1.0)
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
+        _, trace = scalar_mbeg(dist, cfg, return_trace=True)
+        informative = [t.step for t in trace.steps if t.estimate_terms[0][2] != 0.0]
+        assert informative[2] - informative[1] > 1  # skipped steps precede it
+
+        real = learners.entropic_project
+        messages = []
+        for learner in (mbeg, scalar_mbeg):
+            calls = []
+
+            def leaky(mu, k):
+                calls.append(None)
+                out = real(mu, k)
+                return out * (1 + 1e-6) if len(calls) == 3 else out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(learners, "entropic_project", leaky)
+                with pytest.raises(NotInHull) as info:
+                    learner(dist, cfg)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert f"at step {informative[2]}:" in messages[0]
+
+    @pytest.mark.parametrize("spec, dist", DEFAULT_BUDGET_FIXTURES, ids=DEFAULT_BUDGET_IDS)
     def test_matches_dense_reference_at_default_budget(self, spec, dist):
         # The raw-eigh step loop against sym_eig + the pair table, step by step;
         # the replay runs the dense update on zero-estimate steps too, where

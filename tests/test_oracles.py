@@ -20,6 +20,7 @@ from subspace_bandits.oracles import (
     load_distribution,
     make_finite_support,
     observe,
+    observe_pairs,
     sample_instances,
     save_distribution,
 )
@@ -101,6 +102,50 @@ class TestObserve:
         signs = np.sign(vals)
         corr = np.mean(signs[:-1] * signs[1:])
         assert abs(corr) <= 3 / np.sqrt(signs.size - 1)
+
+
+class _UniformQueue:
+    """Stands in for a generator whose successive ``random()`` calls return the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(np.asarray(uniforms, dtype=float).tolist())
+
+    def random(self):
+        return next(self.uniforms)
+
+
+class TestObservePairs:
+    def test_matches_observe_row_by_row(self):
+        # Random uniforms plus the edges of the row map: 0, the largest double
+        # below 1 and every cumulative probability itself.
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        rng = make_rng(6)
+        edges = [0.0, np.nextafter(1.0, 0.0), *np.cumsum(dist.probs)[:-1]]
+        u = np.concatenate([rng.random(500), edges])
+        s = rng.integers(0, 8, size=u.size)
+        q = rng.integers(0, 8, size=u.size)
+        x_s, x_q = observe_pairs(dist, s, q, u)
+        stream = _UniformQueue(u)
+        expected = np.array([observe(dist, (a, b), stream).values for a, b in zip(s, q)])
+        assert x_s.tobytes() == expected[:, 0].tobytes()
+        assert x_q.tobytes() == expected[:, 1].tobytes()
+
+    def test_bad_indices(self):
+        dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
+        u = make_rng(8).random(3)
+        ok = np.array([0, 1, 3])
+        for bad in (np.array([0, 4, 1]), np.array([0, -1, 1]), np.array([0.0, 1.0, 2.0])):
+            with pytest.raises(BadIndex):
+                observe_pairs(dist, bad, ok, u)
+            with pytest.raises(BadIndex):
+                observe_pairs(dist, ok, bad, u)
+
+    def test_coincident_pair_reads_one_coordinate(self):
+        dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
+        u = make_rng(7).random(200)
+        x_s, x_q = observe_pairs(dist, np.full(200, 1), np.full(200, 1), u)
+        assert np.array_equal(x_s, x_q)
+        assert 0 < np.count_nonzero(x_s) < 200
 
 
 class TestMakeFiniteSupport:

@@ -3,14 +3,19 @@
 The oracles here deliberately take different algorithmic routes from the
 library code they check (exhaustive active-set enumeration instead of
 thresholding; scalar root bisection instead of cap counting or an exact
-breakpoint solve).
+breakpoint solve).  The scalar references at the end are earlier versions
+of vectorised library code, kept so tests can demand identical bytes.
 """
 
+import bisect
 import itertools
 
 import numpy as np
 
-from subspace_bandits.domain import HullElement, projector_from_basis
+from subspace_bandits import learners
+from subspace_bandits.decomposition import decompose, sample_component
+from subspace_bandits.domain import HullElement, check_hull_membership, projector_from_basis
+from subspace_bandits.errors import NotInHull
 from subspace_bandits.estimators import mbeg_estimate, mbeg_pair_probs
 from subspace_bandits.oracles import observe
 from subspace_bandits.seeding import make_rng
@@ -232,3 +237,131 @@ def dense_mbeg_replay(dist, cfg, trace):
         worst_stat_gap = max(worst_stat_gap, *(abs(a - b) for a, b in zip(stats, traced)))
     w_bar /= len(trace.steps)
     return 0.5 * (w_bar + w_bar.T), worst_gap, worst_stat_gap
+
+
+# ---------------------------------------------------------------------------
+# Scalar references for the vectorised mbeg step loop
+# ---------------------------------------------------------------------------
+
+def argsort_entropic_project(mu, k):
+    """``learners.entropic_project`` as it was: a stable descending argsort on every call."""
+    v = np.asarray(mu, dtype=float)
+    d = v.size
+    order = np.argsort(-v, kind="stable")
+    sorted_desc = v[order]
+    tail = np.cumsum(sorted_desc[::-1])[::-1]  # tail[c] = sum over sorted_desc[c:]
+    for c in range(k):
+        t = (k - c) / tail[c]
+        if t * sorted_desc[c] <= 1 + 1e-15:
+            out_sorted = np.concatenate([np.ones(c), t * sorted_desc[c:]])
+            out = np.empty(d)
+            out[order] = out_sorted
+            return out
+    raise AssertionError("cap search failed on a positive spectrum")
+
+
+class ScalarPairSampler:
+    """One pair per call with the law of ``mbeg_pair_probs(diag, alpha, k)``.
+
+    Each ``draw`` consumes one ``rng.random(3)`` (branch, s, q) and bisects
+    the diagonal's prefix sum at most once; p is the table's own formula.
+    """
+
+    def __init__(self, diag, alpha, k):
+        diag = np.asarray(diag, dtype=float)
+        self._d = diag.size
+        self._k = k
+        self._alpha = alpha
+        self._split = 0.5 * (1 + alpha)
+        self._diag = diag.tolist()
+        self._cum = np.cumsum(diag).tolist()
+
+    def draw(self, rng):
+        d, alpha, cum = self._d, self._alpha, self._cum
+        branch, u_s, u_q = rng.random(3).tolist()
+        s = min(int(u_s * d), d - 1)
+        q = min(int(u_q * d), d - 1)
+        if branch >= alpha:
+            if branch < self._split:
+                s = min(bisect.bisect_right(cum, u_s * cum[-1]), d - 1)
+            else:
+                q = min(bisect.bisect_right(cum, u_q * cum[-1]), d - 1)
+        diag = self._diag
+        p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + alpha / d**2
+        return s, q, p
+
+
+def _scalar_mbeg_iterate(w, basis, alpha, k):
+    w_now = (basis * w) @ basis.T
+    stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+    return w_now, ScalarPairSampler(np.diagonal(w_now), alpha, k), stats
+
+
+def scalar_mbeg(dist, cfg, return_trace=False):
+    """``learners.mbeg`` as a loop of one scalar pair draw and one ``observe`` per step.
+
+    The same stream order (``rng.random(3)``, then the oracle's uniform) and
+    the same update as the library.  ``learners.entropic_project`` is looked
+    up on every update, so a test that patches it patches both loops.
+    """
+    spec = cfg.spec
+    eta = cfg.eta_override if cfg.eta_override is not None else learners.mbeg_step_size(spec, cfg.m)
+    alpha = (
+        cfg.alpha_override if cfg.alpha_override is not None
+        else learners.mbeg_mixing_weight(spec, eta)
+    )
+    rng = make_rng(cfg.seed)
+    trace = learners.LearnerTrace() if return_trace else None
+
+    d, k = spec.d, spec.k
+    w = np.full(d, k / d)
+    basis = np.eye(d)
+    w_now, sampler, (trace_err, w_min, w_max) = _scalar_mbeg_iterate(w, basis, alpha, k)
+    w_bar = np.zeros((d, d))
+    held = 0
+
+    for i in range(cfg.m):
+        held += 1
+        s, q, p = sampler.draw(rng)
+        obs = observe(dist, (s, q), rng)
+        x_s, x_q = float(obs.values[0]), float(obs.values[1])
+        v = x_s * x_q / p if s == q else x_s * x_q / (2 * p)
+        if v != 0.0:
+            w_bar += held * w_now
+            held = 0
+            m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+            m_update[s, q] += eta * v
+            if s != q:
+                m_update[q, s] += eta * v
+            vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+            w = learners.entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+            w_now, sampler, (trace_err, w_min, w_max) = _scalar_mbeg_iterate(w, basis, alpha, k)
+
+        if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
+            raise NotInHull(
+                f"iterate left the hull at step {i}: trace error {trace_err:.3g}, "
+                f"spectrum [{w_min:.6g}, {w_max:.6g}]"
+            )
+        if trace is not None:
+            trace.steps.append(
+                learners.StepDiagnostics(
+                    step=i,
+                    indices=(s, q),
+                    estimate_terms=mbeg_estimate(s, q, x_s, x_q, p, d=d).terms,
+                    estimate_spectral_norm=abs(v),
+                    iterate_trace_error=trace_err,
+                    iterate_min_eig=w_min,
+                    iterate_max_eig=w_max,
+                )
+            )
+
+    w_bar += held * w_now
+    w_bar /= cfg.m
+    hull = sym_eig(w_bar)
+    report = check_hull_membership(hull, k)
+    if not report.passed:
+        raise NotInHull(str(report))
+    if trace is not None:
+        trace.final_matrix = 0.5 * (w_bar + w_bar.T)
+    pi = sample_component(decompose(hull, k), rng)
+    return (pi, trace) if return_trace else pi
