@@ -9,7 +9,10 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
 
 * the median and quartiles of each metric, for both checkouts, the ratio of
   the medians and the number of seed pairs in which the change is better;
-* the trial count of every run;
+* the trial count of every run, and of every cell of it (parsed from the
+  cell's ``finite excess`` check), flagging a ``mean excess`` cell above
+  900 trials: ``bench/workloads.py::_binomial_tail`` overflows above 1,029
+  trials in one cell;
 * whether the two runs of each seed have the same digest, and whether every
   output check passed;
 
@@ -35,6 +38,8 @@ from pathlib import Path
 RUN_NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>\d)\.json$")
 VIEWS = (("end_to_end", 0), ("per_layer", 1))  # BENCHMARK.json metric list, --trace setting
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
+FINITE_CHECK, MEAN_EXCESS_CHECK = ": finite excess", ": mean excess"  # check name suffixes
+MAX_MEAN_EXCESS_TRIALS = 900  # the binomial tail of a mean-excess check overflows above 1,029
 
 
 def load_runs(checkout: Path) -> dict:
@@ -57,6 +62,30 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q25": q25, "q75": q75, "values": values}
 
 
+def cell_trials(report: dict) -> dict:
+    """{cell label: trials} of one run, from each cell's finite-excess check ("<n> trials")."""
+    return {
+        check["name"][: -len(FINITE_CHECK)]: int(check["detail"].split()[0])
+        for check in report["checks"]
+        if check["name"].endswith(FINITE_CHECK)
+    }
+
+
+def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
+    """A line for every mean-excess cell of the run holding more than 900 trials."""
+    checked = {
+        check["name"][: -len(MEAN_EXCESS_CHECK)]
+        for check in report["checks"]
+        if check["name"].endswith(MEAN_EXCESS_CHECK)
+    }
+    return [
+        f"{side} seed {seed}: cell '{cell}' holds {n} trials > {MAX_MEAN_EXCESS_TRIALS} "
+        "(its mean-excess check overflows above 1,029)"
+        for cell, n in cell_trials(report).items()
+        if cell in checked and n > MAX_MEAN_EXCESS_TRIALS
+    ]
+
+
 def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
     seeds = sorted(set(parent) & set(change))
     out: dict = {"seeds": seeds, "metrics": {}}
@@ -76,17 +105,19 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
             "ratio_of_medians": statistics.median(new) / base if base else None,
             "change_better_pairs": f"{better}/{len(seeds)}",
         }
-    out["trials"] = {
-        "parent": [parent[s]["extras"]["trials"] for s in seeds],
-        "change": [change[s]["extras"]["trials"] for s in seeds],
-    }
+    sides = (("parent", parent), ("change", change))
+    out["trials"] = {side: [runs[s]["extras"]["trials"] for s in seeds] for side, runs in sides}
+    out["cell_trials"] = {side: [cell_trials(runs[s]) for s in seeds] for side, runs in sides}
+    out["trial_count_flags"] = [
+        flag for side, runs in sides for s in seeds for flag in trial_count_flags(side, s, runs[s])
+    ]
     out["digests_equal"] = all(
         parent[s]["extras"]["digest"] == change[s]["extras"]["digest"] for s in seeds
     )
     out["checks_passed"] = {
         side: all(c["passed"] for s in seeds for c in runs[s]["checks"])
         and not any(runs[s]["failed_trials"] for s in seeds)
-        for side, runs in (("parent", parent), ("change", change))
+        for side, runs in sides
     }
     return out
 
@@ -101,14 +132,27 @@ def render(report: dict) -> str:
         for workload, res in report[view].items():
             lines.append(f"\n[{view}] {workload}  seeds {res['seeds']}  digests equal: "
                          f"{res['digests_equal']}  checks passed: {res['checks_passed']}")
-            lines.append(f"  trials  parent {res['trials']['parent']}  change {res['trials']['change']}")
+            trials = res["trials"]
+            lines.append(f"  trials  parent {trials['parent']}  change {trials['change']}")
+            for side in ("parent", "change"):
+                per_cell = {}
+                for run in res["cell_trials"][side]:
+                    for cell, n in run.items():
+                        per_cell.setdefault(cell, []).append(n)
+                for cell, counts in per_cell.items():
+                    lines.append(f"  cell trials  {side}  {cell}: {counts}")
+            lines.extend(f"  FLAG {flag}" for flag in res["trial_count_flags"])
             for name, m in res["metrics"].items():
                 p, c = m["parent"], m["change"]
-                lines.append(
+                line = (
                     f"  {name:<13} parent {p['median']:.4g} [{p['q25']:.4g}, {p['q75']:.4g}]"
                     f"  change {c['median']:.4g} [{c['q25']:.4g}, {c['q75']:.4g}] {m['unit']}"
                     f"  ratio {_ratio(m['ratio_of_medians'])}  change better {m['change_better_pairs']}"
                 )
+                if name == "peak_rss_mb":  # RSS grows with the number of trials a run keeps
+                    line += (f"  trials (median) parent {statistics.median(trials['parent']):g}"
+                             f"  change {statistics.median(trials['change']):g}")
+                lines.append(line)
     return "\n".join(lines)
 
 

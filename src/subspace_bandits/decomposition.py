@@ -118,24 +118,28 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
 
     clipped = np.clip(vals, 0.0, 1.0)
     clipped *= k / clipped.sum()
-    lam = clipped / k  # normalized spectrum, sums to 1
+    lam = (clipped / k).tolist()  # normalized spectrum, sums to 1
 
     basis = eig.vectors
     # One check of the whole basis covers every component's column subset.
     if np.max(np.abs(basis.T @ basis - np.eye(d))) > STRUCT_TOL:
         raise NotOrthonormal("eigenbasis columns are not orthonormal to 1e-8")
     weights: list[float] = []
-    columns: list[np.ndarray] = []
+    columns: list[list[int]] = []
     trace = DecompositionTrace() if return_trace else None
 
+    # The peel runs on plain floats: the spectrum has only d entries, so one
+    # sort per component in Python costs less than numpy's call overhead.
+    positions = range(d)
     for _ in range(d):
-        if float(lam.max()) <= ZERO_TOL:
+        if max(lam) <= ZERO_TOL:
             break
-        order = np.argsort(-lam, kind="stable")  # ties broken by lowest index
+        # Python's sort is stable, so ties go to the lowest index.
+        order = sorted(positions, key=lam.__getitem__, reverse=True)
         top = order[:k]
-        s = float(lam[order[k - 1]])  # smallest entry of the top k
-        ell = float(lam[order[k]]) if k < d else 0.0  # largest entry outside it
-        total = float(lam.sum())
+        s = lam[order[k - 1]]  # smallest entry of the top k
+        ell = lam[order[k]] if k < d else 0.0  # largest entry outside it
+        total = sum(lam)
         alpha = min(s * k, total - ell * k)
         if alpha <= ZERO_TOL:
             raise NonTermination(
@@ -144,14 +148,15 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
         if trace is not None:
             trace.weights.append(alpha)
             trace.residual_l1.append(total)
-        lam[top] -= alpha / k
-        np.clip(lam, 0.0, None, out=lam)
+        step = alpha / k
+        for j in top:
+            lam[j] = max(lam[j] - step, 0.0)
         weights.append(alpha)
-        columns.append(np.sort(top))
-    if float(lam.max()) > ZERO_TOL:
+        columns.append(sorted(top))
+    if max(lam) > ZERO_TOL:
         raise NonTermination(f"residual spectrum did not vanish in {d} iterations")
 
-    mix = MixtureDecomposition(weights, basis, columns)
+    mix = MixtureDecomposition(weights, basis, np.array(columns, dtype=np.intp).reshape(-1, k))
     return (mix, trace) if return_trace else mix
 
 

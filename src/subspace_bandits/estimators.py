@@ -13,6 +13,11 @@ Two families:
 Both are exactly unbiased for E[x x^T]: the probability-weighted sum of the
 single-pair estimate over all d^2 ordered pairs reproduces x x^T identically,
 and averaging the split-half estimate over all index tuples does the same.
+
+The per-observation functions (``split_halves``, ``estimate_asym``,
+``estimate_sym``) state the split-half estimator one step at a time;
+``split_half_sum`` is its block engine, which sums m steps' cross products
+with a few array operations per chunk of steps.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ import numpy as np
 
 from .domain import DomainSpec
 from .errors import BadAlpha, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
-from .oracles import PartialObservation
+from .oracles import DistributionSpec, PartialObservation, observe_block
 
 PROB_TOL = 1e-12
+STEP_CHUNK = 1024  # steps whose random draws a block engine takes at once
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +126,47 @@ def estimate_sym(h: SplitHalves) -> SparseEstimate:
             else:
                 terms.append((int(i), int(j), 0.5 * xi * h.y_hat[j]))
     return SparseEstimate(dim=h.dim, terms=tuple(terms), symmetric=True)
+
+
+def split_half_sum(
+    dist: DistributionSpec, spec: DomainSpec, m: int, rng: np.random.Generator, observed=None
+) -> np.ndarray:
+    """S = sum_t x_hat_t y_hat_t^T over m split-half steps, as one d x d array.
+
+    Step t draws r uniform indices and one vector through the oracle and
+    forms the scaled halves of ``split_halves``; S / 2 is the sum of the
+    steps' ``estimate_asym`` terms and (S + S^T) / 2 the sum of their
+    ``estimate_sym`` terms.  The steps run in chunks of n <= ``STEP_CHUNK``:
+    each chunk draws ``rng.integers(0, d, size=(n, r))``, then
+    ``rng.random(n)`` for the oracle (``observe_block``), scatters each half
+    into an (n, d) block and adds X_hat^T Y_hat.  A chunk holds its (n, r)
+    index, position and value blocks and the two (n, d) half blocks, so its
+    memory grows with r, not r^2: a peak of 4 MB at n = 1024, r = d = 64
+    (2 MB at r = 2), measured with tracemalloc.  ``observed``, if a list,
+    receives each chunk's (indices, values) blocks, for callers that trace
+    the steps.
+    """
+    d, r = spec.d, spec.r
+    if r < 2 or r % 2 != 0:
+        raise OddBudget(f"split-half estimators need an even budget r >= 2, got r={r}")
+    half = r // 2
+    scale = 2.0 * d / r
+    # Entry j of a step lands in the x_hat block (offset 0) or the y_hat block (offset d).
+    offsets = np.repeat((0, d), half)
+    total = np.zeros((d, d))
+    for start in range(0, m, STEP_CHUNK):
+        n = min(STEP_CHUNK, m - start)
+        idx = rng.integers(0, d, size=(n, r))
+        values = observe_block(dist, idx, rng.random(n)[:, None])
+        where = idx + offsets + (2 * d) * np.arange(n)[:, None]
+        # bincount adds each step's duplicates in draw order, as split_halves does.
+        halves = np.bincount(
+            where.ravel(), weights=(scale * values).ravel(), minlength=2 * d * n
+        ).reshape(n, 2, d)
+        total += halves[:, 0].T @ halves[:, 1]
+        if observed is not None:
+            observed.append((idx, values))
+    return total
 
 
 @dataclass(frozen=True, eq=False)

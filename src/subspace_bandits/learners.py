@@ -43,14 +43,16 @@ from .errors import (
     OddBudget,
 )
 from .estimators import (
+    STEP_CHUNK,
     MbegPairSampler,
     draw_uniform_indices,
     estimate_asym,
     estimate_sym,
     mbeg_estimate,
+    split_half_sum,
     split_halves,
 )
-from .oracles import DistributionSpec, observe, observe_pairs
+from .oracles import DistributionSpec, PartialObservation, observe, observe_block
 from .seeding import make_rng
 from .spectral import LOG_FLOOR, EigenSystem, spectral_norm, sym_eig
 
@@ -223,7 +225,11 @@ def _check_oracle_setup(dist: DistributionSpec, cfg: LearnerConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
-    """Average m split-half cross estimates, symmetrize, return the top-k projector."""
+    """Average m split-half cross estimates, symmetrize, return the top-k projector.
+
+    The m steps run through the block engine ``split_half_sum``; their
+    average (1/2m) S is the mean of the ``estimate_asym`` terms.
+    """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
     if spec.r % 2 != 0:
@@ -231,30 +237,27 @@ def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = 
     if cfg.m < 1:
         raise ValueError(f"bandit-pca needs m >= 1, got {cfg.m}")
     rng = make_rng(cfg.seed)
-    trace = LearnerTrace() if return_trace else None
+    observed = [] if return_trace else None
 
-    acc = np.zeros((spec.d, spec.d))
-    for i in range(cfg.m):
-        idx = draw_uniform_indices(spec.d, spec.r, rng)
-        obs = observe(dist, idx, rng)
-        est = estimate_asym(split_halves(obs, spec))
-        for a, b, v in est.terms:
-            acc[a, b] += v
-        if trace is not None:
+    acc = split_half_sum(dist, spec, cfg.m, rng, observed) / (2 * cfg.m)
+    symmetrized = 0.5 * (acc + acc.T)
+    pi = top_k_projector(symmetrized, spec.k)
+    if not return_trace:
+        return pi
+    trace = LearnerTrace(final_matrix=symmetrized)
+    for idx, values in observed:
+        for row, vals in zip(idx.tolist(), values):
+            indices = tuple(row)
+            est = estimate_asym(split_halves(PartialObservation(indices, vals), spec))
             trace.steps.append(
                 StepDiagnostics(
-                    step=i,
-                    indices=tuple(int(t) for t in idx),
+                    step=len(trace.steps),
+                    indices=indices,
                     estimate_terms=est.terms,
                     estimate_spectral_norm=spectral_norm(est.to_dense()),
                 )
             )
-    acc /= cfg.m
-    symmetrized = 0.5 * (acc + acc.T)
-    if trace is not None:
-        trace.final_matrix = symmetrized
-    pi = top_k_projector(symmetrized, spec.k)
-    return (pi, trace) if return_trace else pi
+    return pi, trace
 
 
 def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
@@ -327,9 +330,6 @@ def _check_iterate(stats, step: int) -> None:
         )
 
 
-_MBEG_CHUNK = 1024  # steps whose uniforms mbeg draws in one block
-
-
 def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
     """Matrix bandit exponentiated gradient with non-uniform pair sampling.
 
@@ -344,7 +344,7 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
     Every step takes four uniforms from the stream: branch, s and q for the
     pair, then the oracle's.  They are drawn in blocks of up to
-    ``_MBEG_CHUNK`` steps, and the steps up to the next nonzero estimate are
+    ``STEP_CHUNK`` steps, and the steps up to the next nonzero estimate are
     mapped as a window under the current iterate, so a run of skipped steps
     costs a few array operations.  After an update the next window is as
     long as the gap between the last two informative steps, and each window
@@ -378,13 +378,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     last = -1  # the last informative step
     window = 1
 
-    for block_start in range(0, cfg.m, _MBEG_CHUNK):
-        block = rng.random((min(_MBEG_CHUNK, cfg.m - block_start), 4))
+    for block_start in range(0, cfg.m, STEP_CHUNK):
+        block = rng.random((min(STEP_CHUNK, cfg.m - block_start), 4))
         sampler = MbegPairSampler(block[:, :3], d, alpha, k)
         a = 0  # the block's next row to map
         while a < block.shape[0]:
             s, q, p = sampler.pairs(w_now.diagonal(), a, a + window)
-            x_s, x_q = observe_pairs(dist, s, q, block[a : a + window, 3])
+            x_s, x_q = observe_block(dist, (s, q), block[a : a + window, 3])
             prod = x_s * x_q
             # The first nonzero estimate ends the window; it needs a nonzero product.
             n, v = s.size, 0.0

@@ -186,24 +186,26 @@ def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> Partia
     return PartialObservation(indices=idx, values=dist._rows[row].take(idx))
 
 
-def observe_pairs(dist: DistributionSpec, s, q, u) -> tuple[np.ndarray, np.ndarray]:
-    """Block form of :func:`observe` for coordinate pairs: arrays (x_s, x_q).
+def observe_block(dist: DistributionSpec, indices, u) -> np.ndarray:
+    """Block form of :func:`observe`: the requested coordinates of n draws at once.
 
-    Row t draws one vector with the uniform ``u[t]``, exactly as ``observe``
-    does with its one uniform, and reveals only its coordinates ``s[t]`` and
-    ``q[t]``.  Indices that are not integers in [0, d) raise
-    :class:`BadIndex`, as in ``observe``.
+    Each uniform in ``u`` draws one vector, exactly as ``observe`` does with
+    its one uniform, and ``indices``, broadcast against ``u``, names the
+    coordinates revealed of it; the result has the broadcast shape.  So
+    ``observe_block(dist, (s, q), u)`` reads coordinates s[t] and q[t] of
+    draw t, and ``observe_block(dist, idx, u[:, None])`` the r entries of row
+    t of an (n, r) index block.  Indices that are not integers in [0, d)
+    raise :class:`BadIndex`, as in ``observe``.
     """
     rows = dist._cum_probs.searchsorted(u, "right")
     try:
-        at_s = np.ravel_multi_index((rows, s), dist.points.shape)
-        at_q = np.ravel_multi_index((rows, q), dist.points.shape)
+        at = np.ravel_multi_index((rows, indices), dist.points.shape)
     except (TypeError, ValueError) as exc:
         raise BadIndex(
-            f"pair indices must be integer arrays in [0, {dist.d}), one pair per uniform in [0, 1)"
+            f"indices must be integer arrays in [0, {dist.d}) broadcasting against "
+            "uniforms in [0, 1)"
         ) from exc
-    flat = dist.points.ravel()
-    return flat[at_s], flat[at_q]
+    return dist.points.ravel()[at]
 
 
 def sample_instances(dist: DistributionSpec, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -18,6 +18,7 @@ from subspace_bandits.estimators import (
     estimate_sym,
     mbeg_estimate,
     mbeg_pair_probs,
+    split_half_sum,
     split_halves,
 )
 from subspace_bandits.decomposition import decompose, sample_component
@@ -34,12 +35,14 @@ from subspace_bandits.oracles import (
     default_coin_basis,
     dyadic_fixture,
     impossibility_fixture,
+    make_finite_support,
     observe,
 )
 from subspace_bandits.seeding import make_rng, mix64
 from subspace_bandits.spectral import spectral_norm
 
 from util import (
+    StubDraws,
     bisection_entropic,
     brute_force_capped_projection,
     random_hull_element,
@@ -160,6 +163,12 @@ def test_criterion_01_exact_estimator_unbiasedness(criterion_report):
             total += estimate_sym(split_halves(obs_from(x, tup), spec)).to_dense()
             count += 1
         worst = max(worst, float(np.max(np.abs(total / count - np.outer(x, x)))))
+        # The block engine bandit_pca runs, fed every index tuple as one block
+        # of steps; a point mass at x makes every oracle draw x.
+        tuples = np.array(list(itertools.product(range(4), repeat=r)))
+        point = make_finite_support([(x, 1.0)], spec, tag="point")
+        engine = split_half_sum(point, spec, count, StubDraws(tuples, np.zeros(count)))
+        worst = max(worst, float(np.max(np.abs(engine / count - np.outer(x, x)))))
 
     rng = make_rng(101)
     for _ in range(20):

@@ -27,19 +27,30 @@ def bench_compare():
     return module
 
 
-def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True):
+def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True, cells=(),
+              peak_rss_mb=None):
+    """One run's report; ``cells`` holds (label, trials, has a mean-excess check) per cell."""
     out = checkout / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
+    checks = [{"name": "output", "passed": passed, "detail": ""}]
+    for label, trials, mean_excess in cells:
+        checks.append({"name": f"{label}: finite excess", "passed": True,
+                       "detail": f"{trials} trials"})
+        if mean_excess:
+            checks.append({"name": f"{label}: mean excess", "passed": True,
+                           "detail": f"0.0000 with 0 misses of {trials} trials"})
     report = {
         "meta": {"workload": workload, "seed": seed, "seconds": 25.0, "nproc": 2, "numpy": "2.x"},
         "extras": {"trials": int(trials_per_s * 25), "digest": digest},
-        "checks": [{"name": "output", "passed": passed, "detail": ""}],
+        "checks": checks,
         "failed_trials": [],
         "metrics": {
             "trials_per_s": {"value": trials_per_s, "unit": "1/s"},
             "trial_ms_p50": {"value": 1000.0 / trials_per_s, "unit": "ms"},
         },
     }
+    if peak_rss_mb is not None:
+        report["metrics"]["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
     if trace:
         del report["metrics"]["trial_ms_p50"]
         report["metrics"]["learners.mbgd.self_ms"] = {"value": 0.0, "unit": "ms/trial"}
@@ -99,3 +110,32 @@ def test_no_common_workload_is_an_error(tmp_path, bench_compare):
     (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     write_run(change, "split-half", 1, 5.0, "aaaa")
     assert bench_compare.main([str(tmp_path / "parent"), str(change)]) == 1
+
+
+def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_compare, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    benchmark = dict(BENCHMARK, end_to_end=BENCHMARK["end_to_end"] + [
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}])
+    (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
+
+    def cells(n):
+        # a starved cell has no mean-excess check, so its length is not flagged
+        return [("mbgd r=2", n, True), ("starved", 2 * n, False)]
+
+    for seed, (old, new) in {1: (300, 950), 2: (310, 880)}.items():
+        write_run(parent, "split-half", seed, 5.0, "a", cells=cells(old), peak_rss_mb=40.0)
+        write_run(change, "split-half", seed, 9.0, "a", cells=cells(new), peak_rss_mb=41.0)
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["end_to_end"]["split-half"]
+    assert res["cell_trials"]["parent"] == [
+        {"mbgd r=2": 300, "starved": 600}, {"mbgd r=2": 310, "starved": 620}]
+    assert res["cell_trials"]["change"][0] == {"mbgd r=2": 950, "starved": 1900}
+    assert len(res["trial_count_flags"]) == 1
+    assert "change seed 1: cell 'mbgd r=2' holds 950 trials > 900" in res["trial_count_flags"][0]
+    printed = capsys.readouterr().out
+    assert "FLAG change seed 1: cell 'mbgd r=2'" in printed
+    assert "cell trials  change  mbgd r=2: [950, 880]" in printed
+    rss = next(line for line in printed.splitlines() if line.strip().startswith("peak_rss_mb"))
+    assert rss.endswith("trials (median) parent 125  change 225")

@@ -8,7 +8,7 @@ from subspace_bandits.errors import NotInHull, NotOrthonormal
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import EigenSystem, sym_eig
 
-from util import random_hull_element, random_projector
+from util import argsort_peel, random_hull_element, random_hull_spectrum, random_projector
 
 
 class TestDecompose:
@@ -110,6 +110,74 @@ class TestDecompose:
         assert np.allclose(mix.weights, 1 / d)
         picked = sorted(int(np.argmax(np.diag(p.matrix))) for _, p in mix.components)
         assert picked == list(range(d))
+
+
+def _peel_spectra():
+    """(kind, spectrum, k): random, tied and zero-tail hull spectra, d <= 64, k <= 4."""
+    from subspace_bandits.learners import capped_simplex_project
+
+    rng = make_rng(23)
+    cases = []
+    for t in range(900):
+        d = int(rng.integers(2, 65))
+        k = int(rng.integers(1, min(4, d - 1) + 1))
+        kind = ("random", "tied", "zero-tail")[t % 3]
+        if kind == "random":
+            lam = random_hull_spectrum(rng, d, k)
+        elif kind == "tied":
+            lam = capped_simplex_project(rng.choice([0.1, 0.4, 0.7, 1.3], size=d), k)
+        else:
+            v = rng.random(d) * 1.5
+            v[int(rng.integers(k + 1, d + 1)):] = -5.0
+            lam = capped_simplex_project(v, k)
+        cases.append((kind, np.sort(lam)[::-1].copy(), k))
+    for d, k in [(5, 1), (20, 1), (64, 4)]:
+        cases.append(("uniform", np.full(d, k / d), k))
+    return cases
+
+
+def _peeled_spectrum(weights, columns, d, k):
+    """sum_i w_i 1[columns_i] / k: the normalized spectrum a peel reconstructs."""
+    out = np.zeros(d)
+    for w, cols in zip(weights, columns):
+        out[np.asarray(cols)] += w / k
+    return out
+
+
+class TestPlainFloatPeel:
+    def test_matches_the_argsort_peel(self):
+        """The same bytes for k = 1 or d < 8; otherwise the same spectrum.
+
+        For k >= 2 and d >= 8 a weight can differ in its last bits: the
+        numpy peel sums the residual pairwise, the plain-float peel left to
+        right, and that sum sets the weight when the k-th largest entry is
+        about to meet the largest one outside the top k.  On random and
+        zero-tail spectra the columns still agree; on tied spectra the
+        moved bits can break a later tie the other way and take other
+        columns.  Both are exact decompositions of the same spectrum.
+        """
+        differing = {"weights": 0, "columns": 0}
+        for kind, lam, k in _peel_spectra():
+            d = lam.size
+            mix = decompose(EigenSystem(values=lam, vectors=np.eye(d)), k)
+            weights, columns = argsort_peel(lam, k)
+            case = (kind, d, k)
+            same_columns = [c.tolist() for c in mix.columns] == [c.tolist() for c in columns]
+            if k == 1 or d < 8:
+                assert same_columns, case
+                assert mix.weights.tobytes() == np.array(weights).tobytes(), case
+                continue
+            peeled = _peeled_spectrum(mix.weights, mix.columns, d, k)
+            assert np.max(np.abs(peeled - lam / k)) <= 1e-14, case
+            if kind != "tied":
+                assert same_columns, case
+            if same_columns:
+                assert np.max(np.abs(mix.weights - weights)) <= 4e-15, case
+                differing["weights"] += mix.weights.tobytes() != np.array(weights).tobytes()
+            else:
+                differing["columns"] += 1
+        # the cases named above do occur in this set
+        assert differing["weights"] > 0 and differing["columns"] > 0, differing
 
 
 class TestSampleComponent:

@@ -16,13 +16,20 @@ from subspace_bandits.estimators import (
     estimate_sym,
     mbeg_estimate,
     mbeg_pair_probs,
+    split_half_sum,
     split_halves,
 )
-from subspace_bandits.oracles import PartialObservation
+from subspace_bandits.oracles import DistributionSpec, PartialObservation
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import spectral_norm
 
-from util import ScalarPairSampler, random_hull_element, random_hull_spectrum
+from util import (
+    ScalarPairSampler,
+    StubDraws,
+    random_hull_element,
+    random_hull_spectrum,
+    scalar_split_half_sum,
+)
 
 
 def obs_from(x, indices):
@@ -162,6 +169,74 @@ class TestDyadicEstimates:
                 idx = draw_uniform_indices(4, 2, rng)
                 est = estimate_sym(split_halves(obs_from(x, idx), spec))
                 assert spectral_norm(est.to_dense()) <= bound + 1e-9
+
+
+def _random_support(rng, d, size=5):
+    """A finite-support distribution with random points in [-1, 1]^d."""
+    probs = rng.random(size) + 0.1
+    return DistributionSpec(
+        d=d, points=rng.uniform(-1, 1, size=(size, d)), probs=probs / probs.sum(), tag="random"
+    )
+
+
+def _chunk_calls(m, r):
+    """The draws split_half_sum documents: per chunk, an (n, r) index block, then n uniforms."""
+    calls = []
+    for start in range(0, m, 1024):
+        n = min(1024, m - start)
+        calls += [("integers", (n, r)), ("random", n)]
+    return calls
+
+
+class TestSplitHalfSum:
+    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("d,r", [(4, 2), (4, 4), (10, 2), (10, 4), (10, 6)])
+    def test_equals_both_scalar_estimators_on_the_same_draws(self, d, r, m):
+        rng = make_rng(1000 * d + 10 * r + m)
+        dist = _random_support(rng, d)
+        spec = DomainSpec(d=d, k=1, r=r, G=float(d))
+        idx = rng.integers(0, d, size=(m, r))
+        idx[::7] = idx[::7, :1]  # every 7th step repeats one index r times
+        u = rng.random(m)
+        draws = StubDraws(idx, u)
+        total = split_half_sum(dist, spec, m, draws)
+        assert draws.calls == _chunk_calls(m, r)
+        asym, sym = scalar_split_half_sum(dist, spec, idx, u)
+        # summation order differs, so compare relative to the sums' size
+        scale = max(1.0, float(np.max(np.abs(sym))))
+        assert np.max(np.abs(0.5 * total - asym)) <= 1e-12 * scale  # bandit_pca's sum
+        assert np.max(np.abs(0.5 * (total + total.T) - sym)) <= 1e-12 * scale  # mbgd's sum
+
+    @pytest.mark.parametrize("m", [1, 1024, 2049])
+    def test_stream_ends_after_the_documented_blocks(self, m):
+        d, r = 10, 4
+        dist = _random_support(make_rng(3), d)
+        spec = DomainSpec(d=d, k=1, r=r, G=float(d))
+        engine, by_hand = make_rng(31), make_rng(31)
+        split_half_sum(dist, spec, m, engine)
+        for _, size in _chunk_calls(m, r)[::2]:
+            by_hand.integers(0, d, size=size)
+            by_hand.random(size[0])
+        assert engine.random() == by_hand.random()
+
+    def test_observed_blocks_are_the_steps(self):
+        d, r, m = 4, 4, 1500
+        rng = make_rng(5)
+        dist = _random_support(rng, d)
+        spec = DomainSpec(d=d, k=1, r=r, G=float(d))
+        idx, u = rng.integers(0, d, size=(m, r)), rng.random(m)
+        observed = []
+        split_half_sum(dist, spec, m, StubDraws(idx, u), observed)
+        assert [block.shape for block, _ in observed] == [(1024, r), (476, r)]
+        assert np.array_equal(np.concatenate([block for block, _ in observed]), idx)
+        rows = np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist.size - 1)
+        expected = np.take_along_axis(dist.points[rows], idx, axis=1)
+        assert np.concatenate([vals for _, vals in observed]).tobytes() == expected.tobytes()
+
+    def test_odd_budget_rejected(self):
+        dist = _random_support(make_rng(4), 4)
+        with pytest.raises(OddBudget):
+            split_half_sum(dist, DomainSpec(d=4, k=1, r=3, G=4.0), 10, make_rng(0))
 
 
 class TestPairProbabilities:

@@ -14,6 +14,7 @@ from subspace_bandits.errors import (
     NotInHull,
     OddBudget,
 )
+from subspace_bandits.estimators import estimate_asym, split_halves
 from subspace_bandits.evaluation import identified_fraction
 from subspace_bandits.learners import (
     LearnerConfig,
@@ -34,11 +35,12 @@ from subspace_bandits.oracles import (
     default_coin_basis,
     dyadic_fixture,
     make_finite_support,
+    observe,
     sample_instances,
 )
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
-from subspace_bandits.spectral import EigenSystem, sym_eig
+from subspace_bandits.spectral import EigenSystem, spectral_norm, sym_eig
 
 import util
 from util import (
@@ -310,6 +312,37 @@ class TestBanditPca:
         dist, spec = point_mass(3)
         _, trace = bandit_pca(dist, LearnerConfig(spec=spec, m=7, seed=1), return_trace=True)
         assert len(trace.steps) == 7
+
+    @pytest.mark.parametrize("m", [1, 1025])
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_matches_the_scalar_steps_on_its_stream(self, r, m):
+        # Hadamard-basis coin: dense support points, a clear top-2 subspace.
+        spec = DomainSpec(d=8, k=2, r=r, G=2.0)
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        cfg = LearnerConfig(spec=spec, m=m, seed=40 + r)
+        pi, trace = bandit_pca(dist, cfg, return_trace=True)
+
+        # the documented stream: per chunk of <= 1024 steps, an (n, r) index block, then n uniforms
+        rng = make_rng(cfg.seed)
+        idx, u = [], []
+        for start in range(0, m, 1024):
+            n = min(1024, m - start)
+            idx.append(rng.integers(0, spec.d, size=(n, r)))
+            u.append(rng.random(n))
+        idx, u = np.concatenate(idx), np.concatenate(u)
+        asym, _ = util.scalar_split_half_sum(dist, spec, idx, u)
+        acc = asym / m
+        expected = 0.5 * (acc + acc.T)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(trace.final_matrix - expected)) <= 1e-12 * scale
+        assert np.max(np.abs(pi.matrix - top_k_projector(expected, spec.k).matrix)) <= 1e-9
+
+        stream = util.UniformQueue(u)
+        for t, (step, row) in enumerate(zip(trace.steps, idx.tolist())):
+            est = estimate_asym(split_halves(observe(dist, row, stream), spec))
+            assert (step.step, step.indices, step.estimate_terms) == (t, tuple(row), est.terms)
+            assert step.estimate_spectral_norm == spectral_norm(est.to_dense())
+        assert len(trace.steps) == m
 
 
 class TestMbgd:

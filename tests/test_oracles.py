@@ -20,12 +20,14 @@ from subspace_bandits.oracles import (
     load_distribution,
     make_finite_support,
     observe,
-    observe_pairs,
+    observe_block,
     sample_instances,
     save_distribution,
 )
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import sym_eig
+
+from util import UniformQueue
 
 
 def point_mass_e0(d=3):
@@ -104,28 +106,24 @@ class TestObserve:
         assert abs(corr) <= 3 / np.sqrt(signs.size - 1)
 
 
-class _UniformQueue:
-    """Stands in for a generator whose successive ``random()`` calls return the given uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms = iter(np.asarray(uniforms, dtype=float).tolist())
-
-    def random(self):
-        return next(self.uniforms)
+def _edge_uniforms(dist, rng, count):
+    """Random uniforms plus the edges of the row map: 0, the largest double
+    below 1 and every cumulative probability itself."""
+    edges = [0.0, np.nextafter(1.0, 0.0), *np.cumsum(dist.probs)[:-1]]
+    return np.concatenate([rng.random(count), edges])
 
 
 class TestObservePairs:
+    """``observe_block`` reading the pairs (s, q) of each draw, as ``mbeg`` does."""
+
     def test_matches_observe_row_by_row(self):
-        # Random uniforms plus the edges of the row map: 0, the largest double
-        # below 1 and every cumulative probability itself.
         dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
         rng = make_rng(6)
-        edges = [0.0, np.nextafter(1.0, 0.0), *np.cumsum(dist.probs)[:-1]]
-        u = np.concatenate([rng.random(500), edges])
+        u = _edge_uniforms(dist, rng, 500)
         s = rng.integers(0, 8, size=u.size)
         q = rng.integers(0, 8, size=u.size)
-        x_s, x_q = observe_pairs(dist, s, q, u)
-        stream = _UniformQueue(u)
+        x_s, x_q = observe_block(dist, (s, q), u)
+        stream = UniformQueue(u)
         expected = np.array([observe(dist, (a, b), stream).values for a, b in zip(s, q)])
         assert x_s.tobytes() == expected[:, 0].tobytes()
         assert x_q.tobytes() == expected[:, 1].tobytes()
@@ -136,16 +134,46 @@ class TestObservePairs:
         ok = np.array([0, 1, 3])
         for bad in (np.array([0, 4, 1]), np.array([0, -1, 1]), np.array([0.0, 1.0, 2.0])):
             with pytest.raises(BadIndex):
-                observe_pairs(dist, bad, ok, u)
+                observe_block(dist, (bad, ok), u)
             with pytest.raises(BadIndex):
-                observe_pairs(dist, ok, bad, u)
+                observe_block(dist, (ok, bad), u)
 
     def test_coincident_pair_reads_one_coordinate(self):
         dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
         u = make_rng(7).random(200)
-        x_s, x_q = observe_pairs(dist, np.full(200, 1), np.full(200, 1), u)
+        x_s, x_q = observe_block(dist, (np.full(200, 1), np.full(200, 1)), u)
         assert np.array_equal(x_s, x_q)
         assert 0 < np.count_nonzero(x_s) < 200
+
+
+class TestObserveBlock:
+    """``observe_block`` reading an (n, r) index block, as the split-half engine does."""
+
+    @pytest.mark.parametrize("r", [2, 4, 6])
+    def test_matches_observe_row_by_row(self, r):
+        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        rng = make_rng(10 + r)
+        u = _edge_uniforms(dist, rng, 300)
+        idx = rng.integers(0, 8, size=(u.size, r))
+        idx[:20] = idx[:20, :1]  # rows that repeat one index r times
+        values = observe_block(dist, idx, u[:, None])
+        assert values.shape == (u.size, r)
+        stream = UniformQueue(u)
+        expected = np.array([observe(dist, row, stream).values for row in idx])
+        assert values.tobytes() == expected.tobytes()
+
+    def test_bad_indices(self):
+        dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
+        u = make_rng(9).random((3, 1))
+        for bad in (np.array([[0, 1], [4, 0], [1, 1]]), np.array([[0, 1], [1, -1], [2, 2]]),
+                    np.zeros((3, 2))):
+            with pytest.raises(BadIndex):
+                observe_block(dist, bad, u)
+
+    def test_uniforms_outside_the_unit_interval(self):
+        dist = dyadic_fixture(4, s=1, eps=0.1, c=4.0)
+        with pytest.raises(BadIndex):
+            observe_block(dist, np.zeros((2, 2), dtype=int), np.array([[0.5], [1.0]]))
 
 
 class TestMakeFiniteSupport:

@@ -13,10 +13,16 @@ import itertools
 import numpy as np
 
 from subspace_bandits import learners
-from subspace_bandits.decomposition import decompose, sample_component
+from subspace_bandits.decomposition import ZERO_TOL, decompose, sample_component
 from subspace_bandits.domain import HullElement, check_hull_membership, projector_from_basis
 from subspace_bandits.errors import NotInHull
-from subspace_bandits.estimators import mbeg_estimate, mbeg_pair_probs
+from subspace_bandits.estimators import (
+    estimate_asym,
+    estimate_sym,
+    mbeg_estimate,
+    mbeg_pair_probs,
+    split_halves,
+)
 from subspace_bandits.oracles import observe
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import LOG_FLOOR, TIE_TOL, EigenSystem, sym_eig, sym_matrix
@@ -192,6 +198,38 @@ def loop_sym_eig(m):
     return EigenSystem(values=vals, vectors=vecs)
 
 
+def argsort_peel(vals, k):
+    """``decompose``'s peel as it was: numpy calls on every component.
+
+    Clips the spectrum ``vals`` to [0, 1], rescales it to trace k and
+    normalizes it by k, exactly as ``decompose`` does, then peels with a
+    stable descending argsort (ties to the lowest index), a numpy sum of the
+    residual, a clip and an ``np.sort`` of the columns per component.
+    Returns the weights and the column arrays.
+    """
+    clipped = np.clip(np.asarray(vals, dtype=float), 0.0, 1.0)
+    clipped *= k / clipped.sum()
+    lam = clipped / k
+    d = lam.size
+    weights, columns = [], []
+    for _ in range(d):
+        if float(lam.max()) <= ZERO_TOL:
+            break
+        order = np.argsort(-lam, kind="stable")
+        top = order[:k]
+        s = float(lam[order[k - 1]])
+        ell = float(lam[order[k]]) if k < d else 0.0
+        total = float(lam.sum())
+        alpha = min(s * k, total - ell * k)
+        assert alpha > ZERO_TOL
+        lam[top] -= alpha / k
+        np.clip(lam, 0.0, None, out=lam)
+        weights.append(alpha)
+        columns.append(np.sort(top))
+    assert float(lam.max()) <= ZERO_TOL
+    return weights, columns
+
+
 def dense_mbeg_replay(dist, cfg, trace):
     """Replay a traced ``mbeg`` run through the dense reference update.
 
@@ -365,3 +403,63 @@ def scalar_mbeg(dist, cfg, return_trace=False):
         trace.final_matrix = 0.5 * (w_bar + w_bar.T)
     pi = sample_component(decompose(hull, k), rng)
     return (pi, trace) if return_trace else pi
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the split-half block engine
+# ---------------------------------------------------------------------------
+
+class StubDraws:
+    """Stands in for a generator: serves given index rows and uniforms in order.
+
+    ``integers(low, high, size=(n, r))`` returns the next n rows of ``idx``
+    and ``random(n)`` the next n entries of ``u``; every call is logged in
+    ``calls`` as ("integers", (n, r)) or ("random", n).
+    """
+
+    def __init__(self, idx, u):
+        self.idx = np.asarray(idx)
+        self.u = np.asarray(u, dtype=float)
+        self.calls = []
+        self._row = 0
+        self._pos = 0
+
+    def integers(self, low, high, size):
+        n, r = size
+        assert low == 0 and self.idx.shape[1] == r
+        assert self.idx[self._row : self._row + n].max() < high
+        self.calls.append(("integers", (n, r)))
+        self._row += n
+        return self.idx[self._row - n : self._row].copy()
+
+    def random(self, n):
+        self.calls.append(("random", n))
+        self._pos += n
+        return self.u[self._pos - n : self._pos].copy()
+
+
+class UniformQueue:
+    """Stands in for a generator whose successive ``random()`` calls return the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(np.asarray(uniforms, dtype=float).tolist())
+
+    def random(self):
+        return next(self.uniforms)
+
+
+def scalar_split_half_sum(dist, spec, idx, u):
+    """The split-half sums of the steps with index rows ``idx`` and oracle uniforms ``u``.
+
+    Step t reads ``observe(dist, idx[t], .)`` with the uniform u[t] and
+    forms ``split_halves``.  Returns the dense sums of the steps'
+    ``estimate_asym`` terms and of their ``estimate_sym`` terms.
+    """
+    stream = UniformQueue(u)
+    asym = np.zeros((spec.d, spec.d))
+    sym = np.zeros((spec.d, spec.d))
+    for row in np.asarray(idx).tolist():
+        halves = split_halves(observe(dist, row, stream), spec)
+        asym += estimate_asym(halves).to_dense()
+        sym += estimate_sym(halves).to_dense()
+    return asym, sym
