@@ -27,8 +27,9 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,10 +49,12 @@ from .oracles import (
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
+    from_jsonable,
     impossibility_fixture,
     load_distribution,
     make_finite_support,
-    observe,
+    observe,  # noqa: F401  (bench/tests check harness.observe as a traced binding)
+    observe_block,
     sample_instances,
     save_distribution,
     to_jsonable,
@@ -60,8 +63,7 @@ from .oracles import (
 from .seeding import make_rng, mix64
 
 ALGORITHMS = ("bandit-pca", "mbgd", "mbeg", "pca")
-
-CSV_HEADER = "algo,d,k,r,G,m,trial,seed,excess_loss,loss,wall_ms"
+FIXTURES = ("impossibility", "dyadic", "coin")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError(f"sample budgets must be >= 1, got {self.m_values}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.eta_override is not None and not self.eta_override > 0:
+            raise ConfigError(f"eta override must be positive, got {self.eta_override}")
+        if self.alpha_override is not None and not 0 < self.alpha_override <= 0.5:
+            raise ConfigError(f"alpha override must lie in (0, 1/2], got {self.alpha_override}")
         try:
             validate_distribution(self.distribution, self.domain)
         except SubspaceBanditError as exc:
@@ -122,20 +128,25 @@ class TrialRecord:
     error: str | None = None
 
 
+# The CSV columns are the record's fields but ``error``, in field order; a
+# column's annotation picks its parser and its format (reals at 17 digits).
+_COLUMNS = [f for f in fields(TrialRecord) if f.name != "error"]
+_CODECS = {"str": (str, ""), "int": (int, ""), "float": (float, ".17g")}
+CSV_HEADER = ",".join(f.name for f in _COLUMNS)
+_row_values = attrgetter(*(f.name for f in _COLUMNS))
+_PARSERS, _FORMATS = zip(*(_CODECS[f.type] for f in _COLUMNS))
+
+
 def run_trial(cfg: ExperimentConfig, m: int, trial_index: int) -> TrialRecord:
     """Run one seeded trial; learner errors become a failed record, not a crash."""
     seed = mix64(cfg.base_seed, m, trial_index)
     spec = cfg.domain
     lcfg = LearnerConfig(
-        spec=spec,
-        m=m,
-        eta_override=cfg.eta_override,
-        alpha_override=cfg.alpha_override,
+        spec=spec, m=m, eta_override=cfg.eta_override, alpha_override=cfg.alpha_override,
         seed=seed,
     )
     start = time.perf_counter()
-    excess = math.nan
-    value = math.nan
+    excess = value = math.nan
     error = None
     try:
         if cfg.algo == "pca":
@@ -155,24 +166,9 @@ def run_trial(cfg: ExperimentConfig, m: int, trial_index: int) -> TrialRecord:
         error = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - start) * 1e3
     return TrialRecord(
-        algo=cfg.algo,
-        d=spec.d,
-        k=spec.k,
-        r=spec.r,
-        G=spec.G,
-        m=m,
-        trial=trial_index,
-        seed=seed,
-        excess_loss=excess,
-        loss=value,
-        wall_ms=wall_ms,
-        error=error,
+        algo=cfg.algo, d=spec.d, k=spec.k, r=spec.r, G=spec.G, m=m, trial=trial_index,
+        seed=seed, excess_loss=excess, loss=value, wall_ms=wall_ms, error=error,
     )
-
-
-def _sweep_task(args) -> TrialRecord:
-    cfg, m, trial_index = args
-    return run_trial(cfg, m, trial_index)
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRecord]:
@@ -181,35 +177,34 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> list[TrialRe
     Parallelism is across trials only; each trial owns its generator stream,
     so the records are identical whatever the execution order.
     """
-    tasks = [(cfg, m, t) for m in cfg.m_values for t in range(cfg.trials)]
+    budgets, indices = zip(*((m, t) for m in cfg.m_values for t in range(cfg.trials)))
     if workers is not None and workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_sweep_task, tasks, chunksize=8))
+            records = list(pool.map(run_trial, repeat(cfg), budgets, indices, chunksize=8))
     else:
-        records = [_sweep_task(task) for task in tasks]
+        records = list(map(run_trial, repeat(cfg), budgets, indices))
     records.sort(key=lambda rec: (rec.m, rec.trial))
     return records
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _csv_row(rec: TrialRecord) -> str:
     """One CSV line for a record, in the column order of ``CSV_HEADER``."""
-    return (
-        f"{rec.algo},{rec.d},{rec.k},{rec.r},{_fmt(rec.G)},{rec.m},{rec.trial},"
-        f"{rec.seed},{_fmt(rec.excess_loss)},{_fmt(rec.loss)},{_fmt(rec.wall_ms)}\n"
-    )
+    return ",".join(map(format, _row_values(rec), _FORMATS)) + "\n"
+
+
+def _write_csv(fh, records) -> None:
+    fh.write(CSV_HEADER + "\n")
+    for rec in records:
+        fh.write(_csv_row(rec))
 
 
 def emit_csv(records, path) -> None:
     """Write records with the fixed header; reals carry 17 significant digits."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rec in records:
-                fh.write(_csv_row(rec))
+            _write_csv(fh, records)
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path!r}: {exc}") from exc
 
@@ -222,24 +217,9 @@ def parse_csv(path) -> list[TrialRecord]:
         if header != CSV_HEADER:
             raise ConfigError(f"unexpected CSV header in {path!r}: {header}")
         for line in fh:
-            if not line.strip():
-                continue
-            algo, d, k, r, g, m, trial, seed, excess, value, wall = line.strip().split(",")
-            records.append(
-                TrialRecord(
-                    algo=algo,
-                    d=int(d),
-                    k=int(k),
-                    r=int(r),
-                    G=float(g),
-                    m=int(m),
-                    trial=int(trial),
-                    seed=int(seed),
-                    excess_loss=float(excess),
-                    loss=float(value),
-                    wall_ms=float(wall),
-                )
-            )
+            if line.strip():
+                cells = zip(_PARSERS, line.strip().split(","), strict=True)
+                records.append(TrialRecord(*(parse(cell) for parse, cell in cells)))
     return records
 
 
@@ -256,6 +236,19 @@ def _parse_kv(argstr: str) -> dict:
                 raise ConfigError(f"malformed distribution argument {part!r}")
             out[key.strip()] = value.strip()
     return out
+
+
+def _fixture(name: str, d: int, k: int, G: float, params: dict) -> DistributionSpec:
+    """Build one of ``FIXTURES``, taking its parameters (numbers or strings) out of ``params``."""
+    if name == "impossibility":
+        return impossibility_fixture(d, G, s=int(params.pop("s")))
+    if name == "dyadic":
+        return dyadic_fixture(
+            d, s=int(params.pop("s")), eps=float(params.pop("eps")), c=float(params.pop("c", 4.0))
+        )
+    alpha = float(params.pop("alpha"))
+    signs = [1.0 if ch == "+" else -1.0 for ch in params.pop("b", "+" * k)]
+    return coin_fixture(d, k, G, alpha, signs, default_coin_basis(d, k, G))
 
 
 def parse_dist_ref(ref: str, domain: DomainSpec) -> DistributionSpec:
@@ -276,18 +269,8 @@ def parse_dist_ref(ref: str, domain: DomainSpec) -> DistributionSpec:
             x = np.zeros(domain.d)
             x[coord] = min(1.0, math.sqrt(domain.G))
             dist = make_finite_support([(x, 1.0)], domain, tag=f"pointmass(coord={coord})")
-        elif name == "impossibility":
-            dist = impossibility_fixture(domain.d, domain.G, s=int(kv.pop("s")))
-        elif name == "dyadic":
-            dist = dyadic_fixture(
-                domain.d, s=int(kv.pop("s")), eps=float(kv.pop("eps")), c=float(kv.pop("c", 4.0))
-            )
-        elif name == "coin":
-            alpha = float(kv.pop("alpha"))
-            b_str = kv.pop("b", "+" * domain.k)
-            signs = [1.0 if ch == "+" else -1.0 for ch in b_str]
-            basis = default_coin_basis(domain.d, domain.k, domain.G)
-            dist = coin_fixture(domain.d, domain.k, domain.G, alpha, signs, basis)
+        elif name in FIXTURES:
+            dist = _fixture(name, domain.d, domain.k, domain.G, kv)
         else:
             raise ConfigError(f"unknown distribution reference {ref!r}")
     except (KeyError, ValueError) as exc:
@@ -306,8 +289,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if isinstance(dist_doc, str):
             dist = parse_dist_ref(dist_doc, domain)
         else:
-            from .oracles import from_jsonable
-
             dist = from_jsonable(dist_doc)
         overrides = doc.get("overrides", {})
         return ExperimentConfig(
@@ -341,29 +322,25 @@ def marginal_identity_check(d: int = 4, G: float = 1.0, mc_draws: int = 20000, s
 
     Exact part: enumerate the two-point support of every planted coordinate s
     and verify that each single-coordinate marginal is uniform on
-    {-sqrt(G/d), +sqrt(G/d)}, identical across s.  Monte-Carlo part: observe
-    one coordinate at a time and compare frequencies to 1/2.
+    {-sqrt(G/d), +sqrt(G/d)}, identical across s.  Monte-Carlo part: for each
+    (s, i), read coordinate i of ``mc_draws`` draws (one uniform each, as
+    :func:`observe` takes) and compare the frequency of a positive reading
+    to 1/2.
     """
     level = math.sqrt(G / d)
+    expected = {round(level, 15): 0.5, round(-level, 15): 0.5}
     exact_ok = True
-    for s in range(d):
-        dist = impossibility_fixture(d, G, s)
-        for i in range(d):
-            marginal = {}
-            for point, p in zip(dist.points, dist.probs):
-                key = round(point[i], 15)
-                marginal[key] = marginal.get(key, 0.0) + p
-            expected = {round(level, 15): 0.5, round(-level, 15): 0.5}
-            if marginal != expected:
-                exact_ok = False
     worst_dev = 0.0
     rng = make_rng(seed)
     for s in range(d):
         dist = impossibility_fixture(d, G, s)
         for i in range(d):
-            hits = sum(
-                1 for _ in range(mc_draws) if observe(dist, (i,), rng).values[0] > 0
-            )
+            marginal = {}
+            for value, p in zip(dist.points[:, i], dist.probs):
+                key = round(value, 15)
+                marginal[key] = marginal.get(key, 0.0) + p
+            exact_ok = exact_ok and marginal == expected
+            hits = int(np.count_nonzero(observe_block(dist, i, rng.random(mc_draws)) > 0))
             worst_dev = max(worst_dev, abs(hits / mc_draws - 0.5))
     return {"exact_identical": exact_ok, "mc_worst_deviation": worst_dev, "mc_draws": mc_draws}
 
@@ -383,14 +360,9 @@ def dyadic_no_signal_demo(
     (c*eps)/d^2, so at m << d^2/(r^2 eps) most runs see no signal at all and
     the sampled projector is essentially uniform over coordinates.
     """
-    domain = DomainSpec(d=d, k=1, r=2, G=1.0)
     cfg = ExperimentConfig(
-        domain=domain,
-        distribution=dyadic_fixture(d, s=0, eps=eps, c=c),
-        algo="mbgd",
-        m_values=(m,),
-        trials=trials,
-        base_seed=seed,
+        domain=DomainSpec(d=d, k=1, r=2, G=1.0), distribution=dyadic_fixture(d, s=0, eps=eps, c=c),
+        algo="mbgd", m_values=(m,), trials=trials, base_seed=seed,
     )
     records = run_sweep(cfg, workers=workers)
     failures = sum(1 for rec in records if rec.excess_loss > eps)
@@ -436,6 +408,24 @@ def run_lower_bound_demos(seed: int = 7, trials: int = 500, workers: int | None 
 # CLI
 # ---------------------------------------------------------------------------
 
+# Each inline ``run`` flag: its name, the config-document field it overrides
+# (dotted for nested fields) and its argparse options, in ``--help`` order.
+_RUN_FLAGS = (
+    ("algo", "algo", {"choices": ALGORITHMS}),
+    ("d", "domain.d", {"type": int}),
+    ("k", "domain.k", {"type": int}),
+    ("r", "domain.r", {"type": int}),
+    ("G", "domain.G", {"type": float}),
+    ("m", "m_values", {"type": int, "nargs": "+", "help": "one or more sample budgets"}),
+    ("trials", "trials", {"type": int}),
+    ("seed", "base_seed", {"type": int}),
+    ("dist", "distribution", {"help": "fixture reference or JSON path"}),
+    ("out", "output_path", {"help": "CSV output path (defaults to config output_path)"}),
+    ("eta", "overrides.eta", {"type": float, "help": "step-size override"}),
+    ("alpha", "overrides.alpha", {"type": float, "help": "mixing-weight override (mbeg)"}),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-bandits",
@@ -445,22 +435,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a sweep and emit CSV")
     run_p.add_argument("--config", help="JSON config file; flags below override its fields")
-    run_p.add_argument("--algo", choices=ALGORITHMS)
-    run_p.add_argument("--d", type=int)
-    run_p.add_argument("--k", type=int)
-    run_p.add_argument("--r", type=int)
-    run_p.add_argument("--G", type=float)
-    run_p.add_argument("--m", type=int, nargs="+", help="one or more sample budgets")
-    run_p.add_argument("--trials", type=int)
-    run_p.add_argument("--seed", type=int)
-    run_p.add_argument("--dist", help="fixture reference or JSON path")
-    run_p.add_argument("--out", help="CSV output path (defaults to config output_path)")
-    run_p.add_argument("--eta", type=float, help="step-size override")
-    run_p.add_argument("--alpha", type=float, help="mixing-weight override (mbeg)")
+    for flag, _, options in _RUN_FLAGS:
+        run_p.add_argument(f"--{flag}", **options)
     run_p.add_argument("--workers", type=int, default=1, help="parallel trial processes")
 
     fix_p = sub.add_parser("fixtures", help="materialize a named fixture to JSON")
-    fix_p.add_argument("name", choices=("impossibility", "dyadic", "coin"))
+    fix_p.add_argument("name", choices=FIXTURES)
     fix_p.add_argument("--d", type=int, required=True)
     fix_p.add_argument("--G", type=float, default=1.0)
     fix_p.add_argument("--s", type=int, default=0, help="planted coordinate (0-based)")
@@ -483,30 +463,13 @@ def _cmd_run(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    dom = doc.get("domain", {})
-    for key in ("d", "k", "r", "G"):
-        value = getattr(args, key)
-        if value is not None:
-            dom[key] = value
-    doc["domain"] = dom
-    if args.dist is not None:
-        doc["distribution"] = args.dist
-    if args.algo is not None:
-        doc["algo"] = args.algo
-    if args.m is not None:
-        doc["m_values"] = args.m
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    overrides = doc.get("overrides", {})
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    doc["overrides"] = overrides
-    if args.out is not None:
-        doc["output_path"] = args.out
+    for flag, field, _ in _RUN_FLAGS:
+        *parents, key = field.split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        if getattr(args, flag) is not None:
+            node[key] = getattr(args, flag)
 
     cfg = config_from_dict(doc)
     records = run_sweep(cfg, workers=args.workers)
@@ -515,24 +478,15 @@ def _cmd_run(args) -> int:
         emit_csv(records, cfg.output_path)
         print(f"wrote {len(records)} records to {cfg.output_path}")
     else:
-        sys.stdout.write(CSV_HEADER + "\n")
-        for rec in records:
-            sys.stdout.write(_csv_row(rec))
+        _write_csv(sys.stdout, records)
     for rec in failed:
         print(f"trial (m={rec.m}, trial={rec.trial}) failed: {rec.error}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _cmd_fixtures(args) -> int:
-    if args.name == "impossibility":
-        dist = impossibility_fixture(args.d, args.G, args.s)
-    elif args.name == "dyadic":
-        dist = dyadic_fixture(args.d, args.s, args.eps, args.c)
-    else:
-        b_str = args.b if args.b is not None else "+" * args.k
-        signs = [1.0 if ch == "+" else -1.0 for ch in b_str]
-        basis = default_coin_basis(args.d, args.k, args.G)
-        dist = coin_fixture(args.d, args.k, args.G, args.alpha, signs, basis)
+    params = {key: value for key, value in vars(args).items() if value is not None}
+    dist = _fixture(args.name, args.d, args.k, args.G, params)
     out = args.out if args.out is not None else f"{args.name}.json"
     if out == "-":
         json.dump(to_jsonable(dist), sys.stdout, indent=2)
@@ -555,10 +509,7 @@ def cli_main(argv=None) -> int:
         if args.command == "fixtures":
             return _cmd_fixtures(args)
         return run_lower_bound_demos(seed=args.seed, trials=args.trials, workers=args.workers)
-    except SubspaceBanditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SubspaceBanditError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from subspace_bandits.harness import (
     cli_main,
     config_from_dict,
     emit_csv,
+    marginal_identity_check,
     parse_csv,
     parse_dist_ref,
     run_sweep,
@@ -27,8 +32,10 @@ from subspace_bandits.oracles import (
     exact_moments,
     make_finite_support,
     sample_instances,
+    to_jsonable,
 )
 from subspace_bandits.seeding import make_rng, mix64, splitmix64
+from util import scalar_marginal_mc_deviation
 
 
 def point_mass_config(**overrides):
@@ -104,6 +111,18 @@ class TestExperimentConfig:
     def test_distribution_domain_mismatch(self):
         with pytest.raises(ConfigError):
             point_mass_config(distribution=dyadic_fixture(5, s=0, eps=0.2, c=4.0))
+
+    @pytest.mark.parametrize("overrides", [
+        {"eta_override": -1.0}, {"eta_override": 0.0}, {"eta_override": math.nan},
+        {"alpha_override": 0.0}, {"alpha_override": 0.7}, {"alpha_override": -0.1},
+    ])
+    def test_bad_overrides_are_config_errors(self, overrides):
+        with pytest.raises(ConfigError, match="override"):
+            point_mass_config(**overrides)
+
+    def test_boundary_overrides_accepted(self):
+        cfg = point_mass_config(eta_override=1e-9, alpha_override=0.5)
+        assert (cfg.eta_override, cfg.alpha_override) == (1e-9, 0.5)
 
     def test_incompatible_norm_bound(self):
         # support point norm exceeds the domain's G
@@ -209,6 +228,33 @@ class TestRunSweep:
 
 
 class TestCsv:
+    def test_header_is_the_column_contract(self):
+        # the columns derive from TrialRecord; a new field must not change them silently
+        assert CSV_HEADER == "algo,d,k,r,G,m,trial,seed,excess_loss,loss,wall_ms"
+
+    def test_failed_trial_nan_row_round_trips(self, tmp_path, monkeypatch):
+        def boom(*args, **kwargs):
+            raise SubspaceBanditError("injected failure")
+
+        monkeypatch.setattr(harness, "mbgd", boom)
+        rec = run_trial(point_mass_config(algo="mbgd", m_values=(10,)), m=10, trial_index=0)
+        assert rec.error is not None
+        path = tmp_path / "failed.csv"
+        emit_csv([rec], path)
+        assert path.read_text().splitlines()[1].split(",")[8:10] == ["nan", "nan"]
+        (back,) = parse_csv(path)
+        assert math.isnan(back.excess_loss) and math.isnan(back.loss)
+        assert back.error is None
+        assert (back.algo, back.d, back.k, back.r, back.G, back.m, back.trial, back.seed,
+                back.wall_ms) == (rec.algo, rec.d, rec.k, rec.r, rec.G, rec.m, rec.trial,
+                                  rec.seed, rec.wall_ms)
+
+    def test_row_with_wrong_column_count_is_rejected(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(CSV_HEADER + "\nmbgd,3,1,2,1,10,0,5,0,0\n")
+        with pytest.raises(ValueError):
+            parse_csv(path)
+
     def test_empty_records_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv([], path)
@@ -320,6 +366,19 @@ class TestCli:
         doc = json.loads(out.read_text())
         assert doc["d"] == 4 and len(doc["support"]) == 2
 
+    @pytest.mark.parametrize("argv,ref,domain", [
+        (["impossibility", "--d", "5", "--G", "1", "--s", "2"], "impossibility:s=2",
+         DomainSpec(d=5, k=1, r=2, G=1.0)),
+        (["dyadic", "--d", "6", "--s", "1", "--eps", "0.2", "--c", "3"],
+         "dyadic:s=1,eps=0.2,c=3", DomainSpec(d=6, k=1, r=2, G=1.0)),
+        (["coin", "--d", "8", "--k", "2", "--G", "2", "--alpha", "0.3", "--b", "+-"],
+         "coin:alpha=0.3,b=+-", DomainSpec(d=8, k=2, r=2, G=2.0)),
+    ], ids=["impossibility", "dyadic", "coin"])
+    def test_fixtures_json_matches_dist_ref(self, argv, ref, domain, capsys):
+        assert cli_main(["fixtures", *argv, "--out", "-"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(json.dumps(to_jsonable(parse_dist_ref(ref, domain))))
+
     def test_config_error_exits_2(self):
         code = cli_main(
             ["run", "--algo", "mbeg", "--d", "4", "--k", "1", "--r", "4",
@@ -327,6 +386,16 @@ class TestCli:
              "--dist", "dyadic:s=0,eps=0.2,c=4"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("override", [["--eta", "-1"], ["--eta", "0"], ["--alpha", "0.7"]])
+    def test_bad_override_exits_2(self, override, capsys):
+        code = cli_main(
+            ["run", "--algo", "mbgd", "--d", "4", "--k", "1", "--r", "2", "--G", "1",
+             "--m", "10", "--trials", "1", "--seed", "1", "--dist", "dyadic:s=0,eps=0.2,c=4",
+             *override]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--frobnicate"]) == 2
@@ -392,3 +461,24 @@ class TestCli:
         code = cli_main(["demo-lower-bounds", "--trials", "40", "--seed", "3"])
         assert code == 1
         assert "UNEXPECTED" in capsys.readouterr().out
+
+
+class TestLowerBoundDemos:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_marginal_check_matches_scalar_observe(self, seed):
+        summary = marginal_identity_check(d=4, G=1.0, mc_draws=2000, seed=seed)
+        assert summary["exact_identical"] is True
+        assert summary["mc_worst_deviation"] == scalar_marginal_mc_deviation(4, 1.0, 2000, seed)
+
+
+def test_import_does_not_load_the_process_pool():
+    # the pool is imported by run_sweep only when it runs trials in parallel
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, subspace_bandits; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"

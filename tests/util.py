@@ -23,7 +23,7 @@ from subspace_bandits.estimators import (
     mbeg_pair_probs,
     split_halves,
 )
-from subspace_bandits.oracles import observe
+from subspace_bandits.oracles import impossibility_fixture, observe
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import LOG_FLOOR, TIE_TOL, EigenSystem, sym_eig, sym_matrix
 
@@ -463,3 +463,24 @@ def scalar_split_half_sum(dist, spec, idx, u):
         asym += estimate_asym(halves).to_dense()
         sym += estimate_sym(halves).to_dense()
     return asym, sym
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference for the marginal-identity Monte Carlo
+# ---------------------------------------------------------------------------
+
+def scalar_marginal_mc_deviation(d, G, mc_draws, seed):
+    """Worst |frequency - 1/2| of a positive reading over the impossibility fixtures.
+
+    For each planted coordinate s and each coordinate i, in that order, one
+    generator seeded with ``seed`` serves ``mc_draws`` scalar ``observe``
+    calls of coordinate i, one uniform each.
+    """
+    rng = make_rng(seed)
+    worst = 0.0
+    for s in range(d):
+        dist = impossibility_fixture(d, G, s)
+        for i in range(d):
+            hits = sum(1 for _ in range(mc_draws) if observe(dist, (i,), rng).values[0] > 0)
+            worst = max(worst, abs(hits / mc_draws - 0.5))
+    return worst
