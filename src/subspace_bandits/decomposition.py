@@ -16,8 +16,6 @@ input element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .domain import STRUCT_TOL, HullElement, ProjectionMatrix, projector_from_basis
@@ -81,15 +79,7 @@ class MixtureDecomposition:
         return out
 
 
-@dataclass
-class DecompositionTrace:
-    """Per-iteration weights and residual l1 norms (before each subtraction)."""
-
-    weights: list[float] = field(default_factory=list)
-    residual_l1: list[float] = field(default_factory=list)
-
-
-def decompose(w, k: int | None = None, return_trace: bool = False):
+def decompose(w, k: int | None = None) -> MixtureDecomposition:
     """Decompose a hull element into at most d weighted rank-k projectors.
 
     ``w`` is a :class:`HullElement`, or a symmetric matrix or an
@@ -126,7 +116,6 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
         raise NotOrthonormal("eigenbasis columns are not orthonormal to 1e-8")
     weights: list[float] = []
     columns: list[list[int]] = []
-    trace = DecompositionTrace() if return_trace else None
 
     # The peel runs on plain floats: the spectrum has only d entries, so one
     # sort per component in Python costs less than numpy's call overhead.
@@ -145,9 +134,6 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
             raise NonTermination(
                 f"stalled with residual l1={total:.3g} and step weight {alpha:.3g}"
             )
-        if trace is not None:
-            trace.weights.append(alpha)
-            trace.residual_l1.append(total)
         step = alpha / k
         for j in top:
             lam[j] = max(lam[j] - step, 0.0)
@@ -156,8 +142,7 @@ def decompose(w, k: int | None = None, return_trace: bool = False):
     if max(lam) > ZERO_TOL:
         raise NonTermination(f"residual spectrum did not vanish in {d} iterations")
 
-    mix = MixtureDecomposition(weights, basis, np.array(columns, dtype=np.intp).reshape(-1, k))
-    return (mix, trace) if return_trace else mix
+    return MixtureDecomposition(weights, basis, np.array(columns, dtype=np.intp).reshape(-1, k))
 
 
 def sample_component(mix: MixtureDecomposition, rng: np.random.Generator) -> ProjectionMatrix:

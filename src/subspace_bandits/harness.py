@@ -34,14 +34,14 @@ from operator import attrgetter
 import numpy as np
 
 from .domain import DomainSpec
-from .errors import ConfigError, SubspaceBanditError
+from .errors import AlphaTooLarge, ConfigError, SubspaceBanditError
 from .evaluation import excess_loss
 from .learners import (
     LearnerConfig,
     bandit_pca,
     full_info_pca,
     mbeg,
-    mbeg_min_budget,
+    mbeg_rates,
     mbgd,
 )
 from .oracles import (
@@ -102,14 +102,12 @@ class ExperimentConfig:
         if self.algo == "mbeg":
             if self.domain.r != 2:
                 raise ConfigError(f"mbeg supports r = 2 only, got r={self.domain.r}")
-            if self.alpha_override is None:
-                floor = mbeg_min_budget(self.domain)
-                bad = [m for m in self.m_values if m < floor]
-                if bad:
-                    raise ConfigError(
-                        f"mbeg default mixing weight exceeds 1/2 for m in {bad}; "
-                        f"need m >= {floor} or an alpha override"
-                    )
+            overrides = (self.eta_override, self.alpha_override)
+            for m in self.m_values:
+                try:
+                    mbeg_rates(LearnerConfig(self.domain, m, *overrides))
+                except AlphaTooLarge as exc:
+                    raise ConfigError(f"mbeg: {exc}") from exc
 
 
 @dataclass
@@ -247,7 +245,10 @@ def _fixture(name: str, d: int, k: int, G: float, params: dict) -> DistributionS
             d, s=int(params.pop("s")), eps=float(params.pop("eps")), c=float(params.pop("c", 4.0))
         )
     alpha = float(params.pop("alpha"))
-    signs = [1.0 if ch == "+" else -1.0 for ch in params.pop("b", "+" * k)]
+    b = params.pop("b", "+" * k)
+    if set(b) - {"+", "-"}:
+        raise ConfigError(f"coin signs must be a string of '+' and '-', got {b!r}")
+    signs = [1.0 if ch == "+" else -1.0 for ch in b]
     return coin_fixture(d, k, G, alpha, signs, default_coin_basis(d, k, G))
 
 

@@ -27,7 +27,7 @@ runs can execute concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,15 +46,13 @@ from .estimators import (
     STEP_CHUNK,
     MbegPairSampler,
     draw_uniform_indices,
-    estimate_asym,
     estimate_sym,
-    mbeg_estimate,
     split_half_sum,
     split_halves,
 )
-from .oracles import DistributionSpec, PartialObservation, observe, observe_block
+from .oracles import DistributionSpec, observe, observe_block
 from .seeding import make_rng
-from .spectral import LOG_FLOOR, EigenSystem, spectral_norm, sym_eig
+from .spectral import LOG_FLOOR, EigenSystem, sym_eig
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +184,47 @@ def mbeg_step_size(spec: DomainSpec, m: int) -> float:
     return math.sqrt(math.log(spec.d / spec.k) / (spec.d * m * spec.G**2))
 
 
-def mbeg_mixing_weight(spec: DomainSpec, eta: float) -> float:
-    return 0.5 * eta * spec.d**2
-
-
 def mbeg_min_budget(spec: DomainSpec) -> int:
     """Smallest m for which the default mixing weight stays at or below 1/2."""
     return math.ceil(spec.d**3 * math.log(spec.d / spec.k) / spec.G**2)
 
 
-@dataclass
-class StepDiagnostics:
-    step: int
-    indices: tuple[int, ...]
-    estimate_terms: tuple[tuple[int, int, float], ...]
-    estimate_spectral_norm: float
-    iterate_trace_error: float | None = None
-    iterate_min_eig: float | None = None
-    iterate_max_eig: float | None = None
+def mbeg_rates(cfg: LearnerConfig) -> tuple[float, float]:
+    """mbeg's step size eta and mixing weight alpha, each its override or its default.
+
+    The default alpha = eta d^2 / 2 is taken from the eta actually used and
+    must not exceed 1/2; with the default eta that needs
+    m >= ``mbeg_min_budget``.  Needs m >= 1.
+    """
+    spec = cfg.spec
+    eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
+    if cfg.alpha_override is not None:
+        return eta, cfg.alpha_override
+    alpha = 0.5 * eta * spec.d**2
+    if alpha > 0.5:
+        need = f"eta <= {spec.d**-2:.4g}" if cfg.eta_override else f"m >= {mbeg_min_budget(spec)}"
+        raise AlphaTooLarge(
+            f"default alpha = eta d^2 / 2 = {alpha:.4f} exceeds 1/2 at m={cfg.m}, eta={eta:.4g}; "
+            f"need {need} or an explicit alpha override"
+        )
+    return eta, alpha
 
 
 @dataclass
 class LearnerTrace:
-    """Optional per-step diagnostics; collected only when requested."""
+    """Per-step columns, one row per step; collected only when requested.
 
-    steps: list[StepDiagnostics] = field(default_factory=list)
+    ``indices`` (m, r) ``np.intp`` and ``values`` (m, r) float hold the
+    coordinates step t asked for and the oracle's readings of them.  mbeg
+    only: ``estimate`` (m,) float is step t's estimate entry x_s x_q / (2p)
+    (x_s^2 / p if s == q; zero on a skipped step), and ``hull`` (m, 3) float
+    the trace error and smallest and largest eigenvalue of the iterate after it.
+    """
+
+    indices: np.ndarray
+    values: np.ndarray
+    estimate: np.ndarray | None = None
+    hull: np.ndarray | None = None
     final_matrix: np.ndarray | None = None        # hull element handed to the rounding step
     pre_projection_matrix: np.ndarray | None = None  # mbgd: W before the spectrum projection
 
@@ -244,20 +258,8 @@ def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = 
     pi = top_k_projector(symmetrized, spec.k)
     if not return_trace:
         return pi
-    trace = LearnerTrace(final_matrix=symmetrized)
-    for idx, values in observed:
-        for row, vals in zip(idx.tolist(), values):
-            indices = tuple(row)
-            est = estimate_asym(split_halves(PartialObservation(indices, vals), spec))
-            trace.steps.append(
-                StepDiagnostics(
-                    step=len(trace.steps),
-                    indices=indices,
-                    estimate_terms=est.terms,
-                    estimate_spectral_norm=spectral_norm(est.to_dense()),
-                )
-            )
-    return pi, trace
+    indices, values = map(np.concatenate, zip(*observed))
+    return pi, LearnerTrace(indices, values, final_matrix=symmetrized)
 
 
 def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
@@ -277,30 +279,20 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     eta = cfg.eta_override if cfg.eta_override is not None else (
         mbgd_step_size(spec, cfg.m) if cfg.m > 0 else 0.0
     )
-    trace = LearnerTrace() if return_trace else None
+    shape = (cfg.m, spec.r)
+    trace = LearnerTrace(np.empty(shape, np.intp), np.empty(shape)) if return_trace else None
 
     acc = np.zeros((spec.d, spec.d))
-    running_trace = 0.0
     for i in range(cfg.m):
         idx = draw_uniform_indices(spec.d, spec.r, rng)
         obs = observe(dist, idx, rng)
-        est = estimate_sym(split_halves(obs, spec))
-        for a, b, v in est.terms:
+        for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
             acc[a, b] += v
             if a != b:
                 acc[b, a] += v
-            else:
-                running_trace += v
         if trace is not None:
-            trace.steps.append(
-                StepDiagnostics(
-                    step=i,
-                    indices=tuple(int(t) for t in idx),
-                    estimate_terms=est.terms,
-                    estimate_spectral_norm=spectral_norm(est.to_dense()),
-                    iterate_trace_error=abs(eta * running_trace),
-                )
-            )
+            trace.indices[i] = idx
+            trace.values[i] = obs.values
     w_end = (spec.k / spec.d) * np.eye(spec.d) + eta * acc
     if trace is not None:
         trace.pre_projection_matrix = w_end.copy()
@@ -356,15 +348,9 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
         raise BudgetNotTwo(f"mbeg supports r = 2 only, got r={spec.r}")
     if cfg.m < 1:
         raise ValueError(f"mbeg needs m >= 1, got {cfg.m}")
-    eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
-    alpha = cfg.alpha_override if cfg.alpha_override is not None else mbeg_mixing_weight(spec, eta)
-    if alpha > 0.5:
-        raise AlphaTooLarge(
-            f"default alpha = {alpha:.4f} exceeds 1/2; need m >= {mbeg_min_budget(spec)} "
-            f"(got m={cfg.m}) or an explicit alpha override"
-        )
+    eta, alpha = mbeg_rates(cfg)
     rng = make_rng(cfg.seed)
-    trace = LearnerTrace() if return_trace else None
+    windows = [] if return_trace else None  # each mapped window's trace rows
 
     d, k = spec.d, spec.k
     w = np.full(d, k / d)      # iterate spectrum
@@ -386,28 +372,26 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
             s, q, p = sampler.pairs(w_now.diagonal(), a, a + window)
             x_s, x_q = observe_block(dist, (s, q), block[a : a + window, 3])
             prod = x_s * x_q
-            # The first nonzero estimate ends the window; it needs a nonzero product.
-            n, v = s.size, 0.0
-            for j in prod.nonzero()[0].tolist():
-                # the single term of mbeg_estimate(s, q, x_s, x_q, p)
-                v = prod[j] / p[j] if s[j] == q[j] else prod[j] / (2 * p[j])
-                if v != 0.0:
-                    n = j + 1
-                    break
+            # The first nonzero estimate ends the window.  Its divisor (p, or
+            # 2p = p_sq + p_qs when s != q) is at most 1: it is nonzero where prod is.
+            hit = prod.nonzero()[0]
+            n = int(hit[0]) + 1 if hit.size else s.size
             held += n  # the average runs over W_1 .. W_m, each pre-update
             before = stats
             # A zero estimate makes exp(log W + eta * 0) = W, already in the
             # hull, so the projection keeps it: the window's skipped steps keep
             # the iterate and its hull statistics.
-            if v != 0.0:
+            if hit.size:
                 step = block_start + a + n - 1
-                s_j, q_j, v_j = int(s[n - 1]), int(q[n - 1]), float(v)
+                s_j, q_j = int(s[n - 1]), int(q[n - 1])
+                # the single term of mbeg_estimate(s_j, q_j, x_s, x_q, p)
+                v = float(prod[n - 1] / (p[n - 1] if s_j == q_j else 2 * p[n - 1]))
                 w_bar += held * w_now
                 held = 0
                 m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-                m_update[s_j, q_j] += eta * v_j
+                m_update[s_j, q_j] += eta * v
                 if s_j != q_j:
-                    m_update[q_j, s_j] += eta * v_j
+                    m_update[q_j, s_j] += eta * v
                 # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
                 # projection maps tied values to tied values, so order is irrelevant.
                 vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
@@ -418,10 +402,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 last = step
             else:
                 window *= 2
-            if trace is not None:
-                _trace_window(
-                    trace, block_start + a, d, s[:n], q[:n], x_s[:n], x_q[:n], p[:n], before, stats
-                )
+            if windows is not None:
+                # Skipped steps keep the iterate before the window; only its
+                # last step can have made a new one.
+                hull_rows = np.tile(before, (n, 1))
+                hull_rows[-1] = stats
+                est = prod[:n] / np.where(s[:n] == q[:n], p[:n], 2 * p[:n])
+                windows.append((s[:n], q[:n], x_s[:n], x_q[:n], est, hull_rows))
             a += n
 
     w_bar += held * w_now
@@ -431,34 +418,14 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     report = check_hull_membership(hull, k)
     if not report.passed:
         raise NotInHull(str(report))
-    if trace is not None:
-        trace.final_matrix = 0.5 * (w_bar + w_bar.T)
     pi = sample_component(decompose(hull, k), rng)
-    return (pi, trace) if return_trace else pi
-
-
-def _trace_window(trace, first, d, s, q, x_s, x_q, p, before, after):
-    """One StepDiagnostics per mapped step.
-
-    Steps with a zero estimate report the statistics of the iterate they kept
-    (``before``); a step with a nonzero estimate, only ever the window's last,
-    reports those of the iterate it made (``after``).
-    """
-    rows = zip(s.tolist(), q.tolist(), x_s.tolist(), x_q.tolist(), p.tolist())
-    for offset, (s_t, q_t, xs_t, xq_t, p_t) in enumerate(rows):
-        terms = mbeg_estimate(s_t, q_t, xs_t, xq_t, p_t, d=d).terms
-        trace_err, w_min, w_max = after if terms[0][2] != 0.0 else before
-        trace.steps.append(
-            StepDiagnostics(
-                step=first + offset,
-                indices=(s_t, q_t),
-                estimate_terms=terms,
-                estimate_spectral_norm=abs(terms[0][2]),
-                iterate_trace_error=trace_err,
-                iterate_min_eig=w_min,
-                iterate_max_eig=w_max,
-            )
-        )
+    if windows is None:
+        return pi
+    s, q, x_s, x_q, est, hull_rows = map(np.concatenate, zip(*windows))
+    return pi, LearnerTrace(
+        np.column_stack((s, q)), np.column_stack((x_s, x_q)), est, hull_rows,
+        final_matrix=0.5 * (w_bar + w_bar.T),
+    )
 
 
 def full_info_pca(samples, k: int) -> ProjectionMatrix:

@@ -291,6 +291,12 @@ class TestConfigParsing:
         assert parse_dist_ref("coin:alpha=0.4,b=+-", domain).coin is not None
         assert parse_dist_ref("pointmass:coord=3", domain).points[0][3] == 1.0
 
+    def test_coin_signs_are_plus_and_minus_only(self):
+        domain = DomainSpec(d=4, k=2, r=2, G=1.0)
+        assert list(parse_dist_ref("coin:alpha=0.4,b=+-", domain).coin.signs) == [1, -1]
+        with pytest.raises(ConfigError, match="'\\+x'"):
+            parse_dist_ref("coin:alpha=0.4,b=+x", domain)
+
     def test_dist_ref_errors(self):
         domain = DomainSpec(d=6, k=2, r=2, G=1.0)
         with pytest.raises(ConfigError):
@@ -396,6 +402,34 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    MBEG_ETA_RUN = [
+        "run", "--algo", "mbeg", "--d", "4", "--k", "1", "--r", "2", "--G", "1",
+        "--trials", "2", "--seed", "0", "--dist", "dyadic:s=0,eps=0.25",
+    ]
+
+    def test_mbeg_eta_override_past_the_alpha_bound_exits_2(self, capsys):
+        # m = 89 is the default budget floor, but alpha = eta d^2 / 2 = 8 with eta = 1
+        assert cli_main([*self.MBEG_ETA_RUN, "--m", "89", "--eta", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "alpha" in captured.err
+
+    def test_mbeg_small_eta_override_runs_below_the_default_floor(self, capsys):
+        # alpha = 0.001 * 16 / 2 = 0.008 is valid although m = 10 < 89
+        assert cli_main([*self.MBEG_ETA_RUN, "--m", "10", "--eta", "0.001"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 3 and "nan" not in "".join(lines[1:])
+
+    def test_fixtures_rejects_a_non_sign_character(self, capsys, tmp_path):
+        argv = ["fixtures", "coin", "--d", "4", "--k", "2", "--b", "+x"]
+        assert cli_main([*argv, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        out = tmp_path / "coin.json"
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli_main(["run", "--frobnicate"]) == 2

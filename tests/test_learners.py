@@ -14,7 +14,7 @@ from subspace_bandits.errors import (
     NotInHull,
     OddBudget,
 )
-from subspace_bandits.estimators import estimate_asym, split_halves
+from subspace_bandits.estimators import estimate_sym, split_halves
 from subspace_bandits.evaluation import identified_fraction
 from subspace_bandits.learners import (
     LearnerConfig,
@@ -24,13 +24,14 @@ from subspace_bandits.learners import (
     full_info_pca,
     mbeg,
     mbeg_min_budget,
-    mbeg_mixing_weight,
+    mbeg_rates,
     mbeg_step_size,
     mbgd,
     mbgd_step_size,
     simplex_project_scaled,
 )
 from subspace_bandits.oracles import (
+    PartialObservation,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
@@ -40,7 +41,7 @@ from subspace_bandits.oracles import (
 )
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
-from subspace_bandits.spectral import EigenSystem, spectral_norm, sym_eig
+from subspace_bandits.spectral import EigenSystem, sym_eig
 
 import util
 from util import (
@@ -257,7 +258,24 @@ class TestLearnerConfig:
         assert mbgd_step_size(spec, 6400) == pytest.approx(np.sqrt(1 / (100 * 6400)))
         eta = mbeg_step_size(spec, 2400)
         assert eta == pytest.approx(np.sqrt(np.log(10) / (10 * 2400)))
-        assert mbeg_mixing_weight(spec, eta) == pytest.approx(0.5 * eta * 100)
+        assert mbeg_rates(LearnerConfig(spec=spec, m=2400)) == (eta, pytest.approx(0.5 * eta * 100))
+
+    def test_mbeg_rates_take_alpha_from_the_eta_in_use(self):
+        spec = DomainSpec(d=4, k=1, r=2, G=1.0)
+        floor = mbeg_min_budget(spec)
+        eta = mbeg_step_size(spec, floor)
+        assert mbeg_rates(LearnerConfig(spec=spec, m=floor)) == (eta, 0.5 * eta * 16)
+        # a small eta override keeps alpha valid below the default budget floor
+        assert mbeg_rates(LearnerConfig(spec=spec, m=10, eta_override=0.001)) == (0.001, 0.008)
+        # a large one pushes alpha past 1/2 at the floor itself
+        with pytest.raises(AlphaTooLarge, match=rf"alpha .*m={floor}, eta=1\b"):
+            mbeg_rates(LearnerConfig(spec=spec, m=floor, eta_override=1.0))
+        with pytest.raises(AlphaTooLarge, match=rf"need m >= {floor}"):
+            mbeg_rates(LearnerConfig(spec=spec, m=floor - 1))
+        # an alpha override is used as it is
+        assert mbeg_rates(LearnerConfig(spec=spec, m=5, eta_override=1.0, alpha_override=0.5)) == (
+            1.0, 0.5
+        )
 
     def test_rejects_bad_overrides(self):
         spec = DomainSpec(d=4, k=1, r=2, G=1.0)
@@ -311,7 +329,8 @@ class TestBanditPca:
     def test_trace_length(self):
         dist, spec = point_mass(3)
         _, trace = bandit_pca(dist, LearnerConfig(spec=spec, m=7, seed=1), return_trace=True)
-        assert len(trace.steps) == 7
+        assert trace.indices.shape == trace.values.shape == (7, spec.r)
+        assert trace.estimate is None and trace.hull is None
 
     @pytest.mark.parametrize("m", [1, 1025])
     @pytest.mark.parametrize("r", [2, 4])
@@ -338,11 +357,10 @@ class TestBanditPca:
         assert np.max(np.abs(pi.matrix - top_k_projector(expected, spec.k).matrix)) <= 1e-9
 
         stream = util.UniformQueue(u)
-        for t, (step, row) in enumerate(zip(trace.steps, idx.tolist())):
-            est = estimate_asym(split_halves(observe(dist, row, stream), spec))
-            assert (step.step, step.indices, step.estimate_terms) == (t, tuple(row), est.terms)
-            assert step.estimate_spectral_norm == spectral_norm(est.to_dense())
-        assert len(trace.steps) == m
+        values = [observe(dist, row, stream).values for row in idx.tolist()]
+        assert trace.indices.tobytes() == idx.astype(np.intp).tobytes()
+        assert trace.values.tobytes() == np.array(values).tobytes()
+        assert trace.indices.shape == trace.values.shape == (m, r)
 
 
 class TestMbgd:
@@ -362,16 +380,17 @@ class TestMbgd:
         assert np.trace(pi.matrix) == pytest.approx(1.0)
 
     def test_lazy_iterate_identity(self):
-        # W_end must equal the initializer plus eta times the re-accumulated
-        # trace estimates, bit for bit
+        # W_end must equal the initializer plus eta times the estimates
+        # rebuilt from the traced coordinates and readings, bit for bit
         spec = DomainSpec(d=5, k=1, r=2, G=1.0)
         dist = dyadic_fixture(5, s=1, eps=0.2, c=4.0)
         cfg = LearnerConfig(spec=spec, m=300, seed=7)
         _, trace = mbgd(dist, cfg, return_trace=True)
         eta = mbgd_step_size(spec, cfg.m)
         acc = np.zeros((5, 5))
-        for step in trace.steps:
-            for a, b, v in step.estimate_terms:
+        for idx, values in zip(trace.indices.tolist(), trace.values):
+            obs = PartialObservation(tuple(idx), values)
+            for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
                 acc[a, b] += v
                 if a != b:
                     acc[b, a] += v
@@ -392,9 +411,9 @@ class TestMbgd:
         # eigenbasis, so the two routes really differ in the last bits.
         handed = []
 
-        def recording(w, k=None, return_trace=False):
+        def recording(w, k=None):
             handed.append((w, k))
-            return decompose(w, k, return_trace)
+            return decompose(w, k)
 
         monkeypatch.setattr(learners, "decompose", recording)
         spec = DomainSpec(d=8, k=2, r=r, G=2.0)
@@ -458,13 +477,14 @@ DEFAULT_BUDGET_IDS = [
 ]
 
 
-def recorded_run(monkeypatch, learner, dist, cfg):
-    """``learner(dist, cfg, return_trace=True)`` plus the next uniform of the generator it built.
+def recorded_run(monkeypatch, learner, dist, cfg, return_trace=True):
+    """``learner(dist, cfg, return_trace)`` plus the next uniform of the generator it built.
 
-    ``make_rng`` is wrapped where the learner looks it up: in ``learners``
-    for the library, in ``util`` for the scalar reference.
+    Returns (projector, trace or None, next uniform).  ``make_rng`` is
+    wrapped where the learner looks it up: in ``util`` for the scalar
+    reference, in ``learners`` for the library.
     """
-    module = learners if learner is mbeg else util
+    module = util if learner is scalar_mbeg else learners
     made = []
 
     def recording(seed):
@@ -473,9 +493,13 @@ def recorded_run(monkeypatch, learner, dist, cfg):
 
     with monkeypatch.context() as patch:
         patch.setattr(module, "make_rng", recording)
-        pi, trace = learner(dist, cfg, return_trace=True)
+        out = learner(dist, cfg, return_trace=return_trace)
     assert len(made) == 1
+    pi, trace = out if return_trace else (out, None)
     return pi, trace, made[0].random()
+
+
+TRACE_COLUMNS = ("indices", "values", "estimate", "hull")
 
 
 def assert_same_as_scalar_loop(monkeypatch, dist, cfg):
@@ -484,11 +508,38 @@ def assert_same_as_scalar_loop(monkeypatch, dist, cfg):
     ref_pi, ref_trace, ref_next_u = recorded_run(monkeypatch, scalar_mbeg, dist, cfg)
     assert pi.matrix.tobytes() == ref_pi.matrix.tobytes()
     assert trace.final_matrix.tobytes() == ref_trace.final_matrix.tobytes()
-    assert len(trace.steps) == len(ref_trace.steps) == cfg.m
-    # repr tells a Python float from a numpy scalar and 0.0 from -0.0
-    assert repr(trace.steps) == repr(ref_trace.steps)
+    assert len(trace.estimate) == cfg.m
+    # bytes tell 0.0 from -0.0; dtype and shape are compared beside them
+    for name in TRACE_COLUMNS:
+        column, ref = getattr(trace, name), getattr(ref_trace, name)
+        assert (column.dtype, column.shape) == (ref.dtype, ref.shape), name
+        assert column.tobytes() == ref.tobytes(), name
     assert next_u == ref_next_u
     return trace
+
+
+@pytest.mark.parametrize("learner", [bandit_pca, mbgd, mbeg], ids=lambda f: f.__name__)
+def test_trace_does_not_perturb_the_run(monkeypatch, learner):
+    # The columns are filled from arrays the learner already holds: asking
+    # for them draws nothing more and changes no projector byte.
+    spec = DomainSpec(d=8, k=2, r=2, G=2.0)
+    cfg = LearnerConfig(spec=spec, m=1100, seed=31)
+    dist = half_zero_hadamard_coin()
+    pi, none, next_u = recorded_run(monkeypatch, learner, dist, cfg, return_trace=False)
+    traced_pi, trace, traced_next_u = recorded_run(monkeypatch, learner, dist, cfg)
+    assert none is None
+    assert pi.matrix.tobytes() == traced_pi.matrix.tobytes()
+    assert next_u == traced_next_u
+
+    expected = {"indices": (np.intp, (cfg.m, spec.r)), "values": (np.float64, (cfg.m, spec.r))}
+    if learner is mbeg:
+        expected.update(estimate=(np.float64, (cfg.m,)), hull=(np.float64, (cfg.m, 3)))
+    for name in TRACE_COLUMNS:
+        column = getattr(trace, name)
+        if name in expected:
+            assert (column.dtype, column.shape) == expected[name], name
+        else:
+            assert column is None, name
 
 
 class TestMbeg:
@@ -520,11 +571,11 @@ class TestMbeg:
         spec = DomainSpec(d=6, k=1, r=2, G=1.0)
         cfg = LearnerConfig(spec=spec, m=200, seed=2, alpha_override=0.4)
         _, trace = mbeg(dist, cfg, return_trace=True)
-        assert len(trace.steps) == 200
-        for step in trace.steps:
-            assert step.iterate_trace_error <= 1e-8
-            assert step.iterate_min_eig >= -1e-8
-            assert step.iterate_max_eig <= 1 + 1e-8
+        assert trace.hull.shape == (200, 3)
+        trace_err, w_min, w_max = trace.hull.T
+        assert trace_err.max() <= 1e-8
+        assert w_min.min() >= -1e-8
+        assert w_max.max() <= 1 + 1e-8
 
     def test_estimate_norms_within_step_size_budget(self):
         # on a planted-coordinate run with default parameters every estimate
@@ -535,7 +586,8 @@ class TestMbeg:
         cfg = LearnerConfig(spec=spec, m=m, seed=3)
         _, trace = mbeg(dist, cfg, return_trace=True)
         eta = mbeg_step_size(spec, m)
-        assert max(s.estimate_spectral_norm for s in trace.steps) <= 1 / eta + 1e-9
+        # a single-pair estimate's spectral norm is the magnitude of its one entry
+        assert np.abs(trace.estimate).max() <= 1 / eta + 1e-9
 
     def test_eigh_runs_only_on_nonzero_estimates(self, linalg_calls):
         # Count the eigh calls made by the step loop itself, not those of the
@@ -544,8 +596,8 @@ class TestMbeg:
         spec = DomainSpec(d=8, k=2, r=2, G=2.0)
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = mbeg(dist, cfg, return_trace=True)
-        informative = sum(1 for step in trace.steps if step.estimate_terms[0][2] != 0.0)
-        assert 0 < informative < len(trace.steps)
+        informative = np.count_nonzero(trace.estimate)
+        assert 0 < informative < cfg.m
         loop_calls = [name for name, code in linalg_calls if code is mbeg.__code__]
         assert loop_calls == ["eigh"] * informative
 
@@ -597,7 +649,7 @@ class TestMbeg:
         spec = DomainSpec(d=8, k=2, r=2, G=2.0)
         cfg = LearnerConfig(spec=spec, m=300, seed=22)
         trace = assert_same_as_scalar_loop(monkeypatch, dist, cfg)
-        assert trace.steps[0].estimate_terms[0][2] != 0.0
+        assert trace.estimate[0] != 0.0
 
     @pytest.mark.parametrize(
         "overrides",
@@ -616,7 +668,7 @@ class TestMbeg:
         spec = DomainSpec(d=16, k=1, r=2, G=1.0)
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = scalar_mbeg(dist, cfg, return_trace=True)
-        informative = [t.step for t in trace.steps if t.estimate_terms[0][2] != 0.0]
+        informative = np.flatnonzero(trace.estimate)
         assert informative[2] - informative[1] > 1  # skipped steps precede it
 
         real = learners.entropic_project

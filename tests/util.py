@@ -233,37 +233,34 @@ def argsort_peel(vals, k):
 def dense_mbeg_replay(dist, cfg, trace):
     """Replay a traced ``mbeg`` run through the dense reference update.
 
-    Only each step's pair (s, q) is taken from the trace.  The pair
-    probability comes from the ``mbeg_pair_probs`` table of the iterate
+    Only each step's pair (s, q) is taken from the trace's ``indices``.  The
+    pair probability comes from the ``mbeg_pair_probs`` table of the iterate
     diagonal, the observation from replaying the seed's stream in the
     documented order (``rng.random(3)`` for the pair, then the oracle's
     uniform), the estimate from ``mbeg_estimate``, and the update
     exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.
     Returns the symmetrized iterate average, the largest relative gap
-    between the replayed and the traced estimate terms, and the largest gap
+    between the replayed and the traced ``estimate``, and the largest gap
     between the replayed iterate's hull statistics (trace error, smallest and
-    largest eigenvalue) and the traced ones.
+    largest eigenvalue) and the traced ``hull`` rows.
     """
-    from subspace_bandits.learners import entropic_project, mbeg_mixing_weight, mbeg_step_size
+    from subspace_bandits.learners import entropic_project, mbeg_rates
 
-    spec = cfg.spec
-    d, k = spec.d, spec.k
-    eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
-    alpha = cfg.alpha_override if cfg.alpha_override is not None else mbeg_mixing_weight(spec, eta)
+    d, k = cfg.spec.d, cfg.spec.k
+    eta, alpha = mbeg_rates(cfg)
     rng = make_rng(cfg.seed)
     w = np.full(d, k / d)
     basis = np.eye(d)
     w_bar = np.zeros((d, d))
     worst_gap = 0.0
     worst_stat_gap = 0.0
-    for step in trace.steps:
-        s, q = step.indices
+    for (s, q), v_traced, traced in zip(trace.indices.tolist(), trace.estimate, trace.hull):
         w_bar += (basis * w) @ basis.T
         probs = mbeg_pair_probs((basis**2) @ w, alpha, k=k)
         rng.random(3)
         obs = observe(dist, (s, q), rng)
         est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(probs.table[s, q]), d=d)
-        v, v_traced = est.terms[0][2], step.estimate_terms[0][2]
+        v = est.terms[0][2]
         worst_gap = max(worst_gap, abs(v - v_traced) / max(1.0, abs(v)))
         m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
         m_update = 0.5 * (m_update + m_update.T) + eta * est.to_dense()
@@ -271,9 +268,8 @@ def dense_mbeg_replay(dist, cfg, trace):
         w = entropic_project(np.maximum(np.exp(eig.values), LOG_FLOOR), k)
         basis = eig.vectors
         stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
-        traced = (step.iterate_trace_error, step.iterate_min_eig, step.iterate_max_eig)
         worst_stat_gap = max(worst_stat_gap, *(abs(a - b) for a, b in zip(stats, traced)))
-    w_bar /= len(trace.steps)
+    w_bar /= len(trace.estimate)
     return 0.5 * (w_bar + w_bar.T), worst_gap, worst_stat_gap
 
 
@@ -340,21 +336,17 @@ def scalar_mbeg(dist, cfg, return_trace=False):
 
     The same stream order (``rng.random(3)``, then the oracle's uniform) and
     the same update as the library.  ``learners.entropic_project`` is looked
-    up on every update, so a test that patches it patches both loops.
+    up on every update, so a test that patches it patches both loops.  The
+    trace columns are filled one row per step.
     """
-    spec = cfg.spec
-    eta = cfg.eta_override if cfg.eta_override is not None else learners.mbeg_step_size(spec, cfg.m)
-    alpha = (
-        cfg.alpha_override if cfg.alpha_override is not None
-        else learners.mbeg_mixing_weight(spec, eta)
-    )
+    eta, alpha = learners.mbeg_rates(cfg)
     rng = make_rng(cfg.seed)
-    trace = learners.LearnerTrace() if return_trace else None
+    rows = []  # (s, q, x_s, x_q, estimate, trace error, smallest, largest eigenvalue)
 
-    d, k = spec.d, spec.k
+    d, k = cfg.spec.d, cfg.spec.k
     w = np.full(d, k / d)
     basis = np.eye(d)
-    w_now, sampler, (trace_err, w_min, w_max) = _scalar_mbeg_iterate(w, basis, alpha, k)
+    w_now, sampler, stats = _scalar_mbeg_iterate(w, basis, alpha, k)
     w_bar = np.zeros((d, d))
     held = 0
 
@@ -373,25 +365,15 @@ def scalar_mbeg(dist, cfg, return_trace=False):
                 m_update[q, s] += eta * v
             vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
             w = learners.entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
-            w_now, sampler, (trace_err, w_min, w_max) = _scalar_mbeg_iterate(w, basis, alpha, k)
+            w_now, sampler, stats = _scalar_mbeg_iterate(w, basis, alpha, k)
 
+        trace_err, w_min, w_max = stats
         if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
             raise NotInHull(
                 f"iterate left the hull at step {i}: trace error {trace_err:.3g}, "
                 f"spectrum [{w_min:.6g}, {w_max:.6g}]"
             )
-        if trace is not None:
-            trace.steps.append(
-                learners.StepDiagnostics(
-                    step=i,
-                    indices=(s, q),
-                    estimate_terms=mbeg_estimate(s, q, x_s, x_q, p, d=d).terms,
-                    estimate_spectral_norm=abs(v),
-                    iterate_trace_error=trace_err,
-                    iterate_min_eig=w_min,
-                    iterate_max_eig=w_max,
-                )
-            )
+        rows.append((s, q, x_s, x_q, v, *stats))
 
     w_bar += held * w_now
     w_bar /= cfg.m
@@ -399,10 +381,14 @@ def scalar_mbeg(dist, cfg, return_trace=False):
     report = check_hull_membership(hull, k)
     if not report.passed:
         raise NotInHull(str(report))
-    if trace is not None:
-        trace.final_matrix = 0.5 * (w_bar + w_bar.T)
     pi = sample_component(decompose(hull, k), rng)
-    return (pi, trace) if return_trace else pi
+    if not return_trace:
+        return pi
+    s, q, x_s, x_q, v, *stats = zip(*rows)
+    return pi, learners.LearnerTrace(
+        np.array((s, q), dtype=np.intp).T, np.array((x_s, x_q)).T, np.array(v), np.array(stats).T,
+        final_matrix=0.5 * (w_bar + w_bar.T),
+    )
 
 
 # ---------------------------------------------------------------------------
