@@ -31,7 +31,6 @@ from .harness import (
     TrialRecord,
     cli_main,
     emit_csv,
-    load_config,
     parse_csv,
     run_sweep,
     run_trial,
@@ -99,7 +98,6 @@ __all__ = [
     "full_info_pca",
     "identified_fraction",
     "impossibility_fixture",
-    "load_config",
     "load_distribution",
     "loss",
     "make_finite_support",

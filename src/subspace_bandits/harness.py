@@ -29,7 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -89,10 +89,11 @@ class ExperimentConfig:
             raise ConfigError(f"sample budgets must be >= 1, got {self.m_values}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.eta_override is not None and not self.eta_override > 0:
-            raise ConfigError(f"eta override must be positive, got {self.eta_override}")
-        if self.alpha_override is not None and not 0 < self.alpha_override <= 0.5:
-            raise ConfigError(f"alpha override must lie in (0, 1/2], got {self.alpha_override}")
+        overrides = (self.eta_override, self.alpha_override)
+        try:
+            learner_configs = [LearnerConfig(self.domain, m, *overrides) for m in self.m_values]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         try:
             validate_distribution(self.distribution, self.domain)
         except SubspaceBanditError as exc:
@@ -102,10 +103,9 @@ class ExperimentConfig:
         if self.algo == "mbeg":
             if self.domain.r != 2:
                 raise ConfigError(f"mbeg supports r = 2 only, got r={self.domain.r}")
-            overrides = (self.eta_override, self.alpha_override)
-            for m in self.m_values:
+            for lcfg in learner_configs:
                 try:
-                    mbeg_rates(LearnerConfig(self.domain, m, *overrides))
+                    mbeg_rates(lcfg)
                 except AlphaTooLarge as exc:
                     raise ConfigError(f"mbeg: {exc}") from exc
 
@@ -267,6 +267,8 @@ def parse_dist_ref(ref: str, domain: DomainSpec) -> DistributionSpec:
     try:
         if name == "pointmass":
             coord = int(kv.pop("coord", 0))
+            if not 0 <= coord < domain.d:
+                raise ConfigError(f"pointmass coordinate {coord} outside [0, {domain.d})")
             x = np.zeros(domain.d)
             x[coord] = min(1.0, math.sqrt(domain.G))
             dist = make_finite_support([(x, 1.0)], domain, tag=f"pointmass(coord={coord})")
@@ -285,7 +287,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build a config from a JSON-style dict mirroring the field names."""
     try:
         dom = doc["domain"]
-        domain = DomainSpec(d=int(dom["d"]), k=int(dom["k"]), r=int(dom["r"]), G=float(dom["G"]))
+        domain = DomainSpec(*(index(dom[key]) for key in "dkr"), G=float(dom["G"]))
         dist_doc = doc["distribution"]
         if isinstance(dist_doc, str):
             dist = parse_dist_ref(dist_doc, domain)
@@ -296,22 +298,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             domain=domain,
             distribution=dist,
             algo=str(doc["algo"]),
-            m_values=tuple(int(m) for m in doc["m_values"]),
-            trials=int(doc["trials"]),
-            base_seed=int(doc["base_seed"]),
+            m_values=tuple(map(index, doc["m_values"])),
+            trials=index(doc["trials"]),
+            base_seed=index(doc["base_seed"]),
             eta_override=None if overrides.get("eta") is None else float(overrides["eta"]),
             alpha_override=None if overrides.get("alpha") is None else float(overrides["alpha"]),
             output_path=doc.get("output_path"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config document: {exc}") from exc
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +343,30 @@ def marginal_identity_check(d: int = 4, G: float = 1.0, mc_draws: int = 20000, s
     return {"exact_identical": exact_ok, "mc_worst_deviation": worst_dev, "mc_draws": mc_draws}
 
 
-def dyadic_no_signal_demo(
-    d: int = 20,
-    eps: float = 0.05,
-    c: float = 4.0,
-    m: int = 200,
-    trials: int = 500,
-    seed: int = 7,
-    workers: int | None = None,
-):
+_DEMO_EPS, _DEMO_C = 0.05, 4.0
+
+
+def dyadic_demo_config(trials: int = 500, seed: int = 7) -> ExperimentConfig:
+    """The dyadic demo's starved sweep: mbgd, d=20, planted s=0, eps=0.05, c=4, m=200."""
+    return ExperimentConfig(
+        domain=DomainSpec(d=20, k=1, r=2, G=1.0),
+        distribution=dyadic_fixture(20, s=0, eps=_DEMO_EPS, c=_DEMO_C),
+        algo="mbgd", m_values=(200,), trials=trials, base_seed=seed,
+    )
+
+
+def dyadic_no_signal_demo(trials: int = 500, seed: int = 7, workers: int | None = None):
     """Failure rate of mbgd on the planted-coordinate distribution at a starved budget.
 
     With r = 2 the chance a single step observes an informative pair is
     (c*eps)/d^2, so at m << d^2/(r^2 eps) most runs see no signal at all and
     the sampled projector is essentially uniform over coordinates.
     """
-    cfg = ExperimentConfig(
-        domain=DomainSpec(d=d, k=1, r=2, G=1.0), distribution=dyadic_fixture(d, s=0, eps=eps, c=c),
-        algo="mbgd", m_values=(m,), trials=trials, base_seed=seed,
-    )
+    cfg = dyadic_demo_config(trials, seed)
+    d, m, eps = cfg.domain.d, cfg.m_values[0], _DEMO_EPS
     records = run_sweep(cfg, workers=workers)
     failures = sum(1 for rec in records if rec.excess_loss > eps)
-    p_no_signal = (1 - c * eps / d**2) ** m
+    p_no_signal = (1 - _DEMO_C * eps / d**2) ** m
     return {
         "trials": trials,
         "m": m,
@@ -463,13 +462,20 @@ def _cmd_run(args) -> int:
     doc = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config!r} must hold a JSON object")
     for flag, field, _ in _RUN_FLAGS:
         *parents, key = field.split(".")
         node = doc
         for parent in parents:
             node = node.setdefault(parent, {})
         if getattr(args, flag) is not None:
+            if not isinstance(node, dict):
+                raise ConfigError(f"config field {parents[0]!r} must be a JSON object")
             node[key] = getattr(args, flag)
 
     cfg = config_from_dict(doc)
@@ -480,6 +486,10 @@ def _cmd_run(args) -> int:
         print(f"wrote {len(records)} records to {cfg.output_path}")
     else:
         _write_csv(sys.stdout, records)
+    for m in cfg.m_values:
+        cell = [rec.excess_loss for rec in records if rec.m == m]
+        print(f"m={m}: mean excess {math.fsum(cell) / len(cell):.4g} over {len(cell)} trials",
+              file=sys.stderr)
     for rec in failed:
         print(f"trial (m={rec.m}, trial={rec.trial}) failed: {rec.error}", file=sys.stderr)
     return 1 if failed else 0

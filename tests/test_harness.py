@@ -297,6 +297,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="'\\+x'"):
             parse_dist_ref("coin:alpha=0.4,b=+x", domain)
 
+    @pytest.mark.parametrize("coord", [-1, 4, 9])
+    def test_pointmass_coordinate_outside_the_domain(self, coord):
+        domain = DomainSpec(d=4, k=1, r=2, G=1.0)
+        with pytest.raises(ConfigError, match="outside"):
+            parse_dist_ref(f"pointmass:coord={coord}", domain)
+
     def test_dist_ref_errors(self):
         domain = DomainSpec(d=6, k=2, r=2, G=1.0)
         with pytest.raises(ConfigError):
@@ -384,6 +390,72 @@ class TestCli:
         assert cli_main(["fixtures", *argv, "--out", "-"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == json.loads(json.dumps(to_jsonable(parse_dist_ref(ref, domain))))
+
+    RUN_D4 = [
+        "run", "--algo", "mbgd", "--d", "4", "--k", "1", "--r", "2", "--G", "1",
+        "--m", "10", "--trials", "1", "--seed", "1",
+    ]
+
+    @pytest.mark.parametrize("coord", [-1, 9])
+    def test_pointmass_coordinate_outside_the_domain_exits_2(self, coord, capsys):
+        assert cli_main([*self.RUN_D4, "--dist", f"pointmass:coord={coord}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    CONFIG_D4 = {
+        "domain": {"d": 4, "k": 1, "r": 2, "G": 1.0},
+        "distribution": "dyadic:s=0,eps=0.2,c=4",
+        "algo": "mbgd",
+        "m_values": [100],
+        "trials": 2,
+        "base_seed": 7,
+    }
+
+    @pytest.mark.parametrize("field,value", [
+        ("domain.d", 4.7), ("domain.k", 1.5), ("domain.r", 2.5),
+        ("m_values", [100.9]), ("trials", 2.9), ("base_seed", 7.5),
+    ], ids=["d", "k", "r", "m_values", "trials", "base_seed"])
+    def test_non_integer_config_field_exits_2(self, field, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(self.CONFIG_D4))
+        *parents, key = field.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,argv", [
+        ("{bad", []), ("[1, 2]", []), ('{"domain": [4]}', ["--d", "4"]),
+    ], ids=["invalid-json", "not-an-object", "nested-not-an-object"])
+    def test_malformed_config_file_exits_2(self, text, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert cli_main(["run", "--config", str(cfg_path), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        if not argv:
+            assert str(cfg_path) in captured.err
+
+    def test_run_prints_mean_excess_per_budget_to_stderr(self, tmp_path, capsys):
+        argv = ["run", "--algo", "mbgd", "--d", "6", "--k", "1", "--r", "2", "--G", "1",
+                "--m", "400", "20", "--trials", "3", "--seed", "5",
+                "--dist", "dyadic:s=2,eps=0.25,c=4"]
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        stdout_csv = tmp_path / "stdout.csv"
+        stdout_csv.write_text(captured.out)
+        records = parse_csv(stdout_csv)  # stdout holds the CSV and nothing else
+        assert len(records) == 6
+        means = {m: math.fsum(r.excess_loss for r in records if r.m == m) / 3 for m in (400, 20)}
+        assert means[20] > 0
+        assert captured.err.splitlines() == [
+            f"m={m}: mean excess {mean:.4g} over 3 trials" for m, mean in means.items()
+        ]
 
     def test_config_error_exits_2(self):
         code = cli_main(
@@ -505,14 +577,31 @@ class TestLowerBoundDemos:
         assert summary["mc_worst_deviation"] == scalar_marginal_mc_deviation(4, 1.0, 2000, seed)
 
 
+SRC = Path(harness.__file__).resolve().parents[1]
+
+
+def _run_python(*args):
+    """Run the interpreter on ``args`` with the checkout's ``src`` on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def test_import_does_not_load_the_process_pool():
     # the pool is imported by run_sweep only when it runs trials in parallel
-    src = str(Path(harness.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, subspace_bandits; print('concurrent.futures.process' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+    out = _run_python(
+        "-c", "import sys, subspace_bandits; print('concurrent.futures.process' in sys.modules)"
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+def test_pca_rate_script_runs(tmp_path):
+    out = tmp_path / "rate.csv"
+    script = SRC.parent / "scripts" / "run_pca_rate.py"
+    done = _run_python(str(script), "--m", "50", "100", "--trials", "2", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert len(parse_csv(out)) == 4
+    budgets = [line[2:].split()[0] for line in done.stdout.splitlines() if line.startswith("m=")]
+    assert budgets == ["50", "100"]
