@@ -23,7 +23,10 @@ Usage:
     python scripts/bench_compare.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
         [--out BENCH_n.json] [--parent-label REV] [--change-label REV]
 
-The table goes to stdout; ``--out`` also writes it as JSON.
+The table goes to stdout; ``--out`` also writes it as JSON.  The exit code
+is 1 when the seeds of a pair have different digests, when a check or a
+trial failed in either checkout, or when no workload has runs in both; a
+cell above 900 trials is only flagged.
 """
 
 from __future__ import annotations
@@ -191,7 +194,12 @@ def main(argv=None) -> int:
     print(render(report))
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    # A long cell is only a printed FLAG; a changed digest or a failed check fails the comparison.
+    results = [res for by_workload in views.values() for res in by_workload.values()]
+    broken = any(
+        not res["digests_equal"] or not all(res["checks_passed"].values()) for res in results
+    )
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -236,9 +236,12 @@ class MbegPairSampler:
     ``min(int(u * d), d - 1)``; one drawn in proportion to the diagonal is the
     first index whose prefix sum exceeds ``u * sum(diag)``, or d - 1 if none
     does.  The branches and the uniform coordinates do not depend on W, so
-    they are mapped once, when the block is built; ``pairs`` resolves the
-    weighted coordinates of a run of rows under the diagonal it is given, so
-    one block serves every iterate that draws from it.
+    they are mapped once, when the block is built; ``coordinates`` resolves
+    the weighted coordinates of a run of rows under the prefix sums it is
+    given, so one block serves every iterate that draws from it, and
+    ``price`` is the table's formula at given pairs.  ``pairs`` is the two
+    composed; a caller that keeps an iterate for many runs of rows takes
+    the prefix sums once and prices only the pairs it needs.
     """
 
     __slots__ = ("_d", "_k", "_alpha", "_keys", "_uniform", "_weighted")
@@ -255,25 +258,30 @@ class MbegPairSampler:
         branch = np.array([alpha, 0.5 * (1 + alpha)]).searchsorted(u[:, 0], "right")
         self._weighted = branch[:, None] == (1, 2)
 
+    def coordinates(self, cum, start: int = 0, stop: int | None = None):
+        """(s, q) arrays for rows ``start:stop`` under the prefix sums ``cum`` of W's diagonal."""
+        rows = slice(start, stop)
+        # Searching all but the last prefix sum clamps the index at d - 1.
+        weighted = cum[:-1].searchsorted(self._keys[rows] * cum[-1], "right")
+        s, q = np.where(self._weighted[rows], weighted, self._uniform[rows]).T
+        return s, q
+
+    def price(self, diag, s, q):
+        """The table entries p_{s,q} under the diagonal ``diag`` of W, at scalar or array (s, q)."""
+        d = self._d
+        return (1 - self._alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + self._alpha / d**2
+
     def pairs(self, diag, start: int = 0, stop: int | None = None):
         """(s, q, p) arrays for rows ``start:stop`` under the diagonal ``diag`` of W.
 
         ``diag`` is nonnegative and sums to k; p is the table's own formula,
         so it equals the table entry exactly.
         """
-        rows = slice(start, stop)
-        d, alpha = self._d, self._alpha
         diag = np.asarray(diag, dtype=float)
-        if diag.size != d:
-            raise DimMismatch(f"diagonal has {diag.size} entries, expected d={d}")
-        cum = diag.cumsum()
-        sq = self._uniform[rows].copy()
-        weighted = self._weighted[rows]
-        # Searching all but the last prefix sum clamps the index at d - 1.
-        sq[weighted] = cum[:-1].searchsorted(self._keys[rows][weighted] * cum[-1], "right")
-        s, q = sq.T
-        p = (1 - alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + alpha / d**2
-        return s, q, p
+        if diag.size != self._d:
+            raise DimMismatch(f"diagonal has {diag.size} entries, expected d={self._d}")
+        s, q = self.coordinates(diag.cumsum(), start, stop)
+        return s, q, self.price(diag, s, q)
 
 
 def mbeg_estimate(

@@ -87,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError("m_values must be non-empty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"sample budgets must be >= 1, got {self.m_values}")
+        repeated = [m for i, m in enumerate(self.m_values) if m in self.m_values[:i]]
+        if repeated:
+            raise ConfigError(f"sample budget m={repeated[0]} repeats in m_values {self.m_values}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         overrides = (self.eta_override, self.alpha_override)
@@ -283,32 +286,78 @@ def parse_dist_ref(ref: str, domain: DomainSpec) -> DistributionSpec:
     return dist
 
 
+_REQUIRED = object()
+
+
+def _field(doc, name: str, default=_REQUIRED):
+    """The value of the dotted field ``name`` of a config document, or ``default`` if absent."""
+    node, path = doc, []
+    for key in name.split("."):
+        if not isinstance(node, dict):
+            where = f"config field {'.'.join(path)!r}" if path else "config document"
+            raise ConfigError(f"{where} must be a JSON object, got {node!r}")
+        path.append(key)
+        if key not in node:
+            if default is _REQUIRED:
+                raise ConfigError(f"config field {name!r} is missing")
+            return default
+        node = node[key]
+    return node
+
+
+def _number(value, name: str, kind=float):
+    """``kind(value)`` (``float`` or ``operator.index``); JSON true/false is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    what = "an integer" if kind is index else "a number"
+    raise ConfigError(f"config field {name!r} must be {what}, got {value!r}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style dict mirroring the field names."""
+    """Build a config from a JSON-style dict mirroring the field names.
+
+    Every error is a ``ConfigError`` that names the field (``domain.d``,
+    ``m_values[1]``, ...) and says why it was refused.
+    """
+    d, k, r = (_number(_field(doc, f"domain.{key}"), f"domain.{key}", index) for key in "dkr")
+    G = _number(_field(doc, "domain.G"), "domain.G")
     try:
-        dom = doc["domain"]
-        domain = DomainSpec(*(index(dom[key]) for key in "dkr"), G=float(dom["G"]))
-        dist_doc = doc["distribution"]
+        domain = DomainSpec(d, k, r, G)
+    except ValueError as exc:
+        raise ConfigError(f"config field 'domain': {exc}") from exc
+    dist_doc = _field(doc, "distribution")
+    try:
         if isinstance(dist_doc, str):
             dist = parse_dist_ref(dist_doc, domain)
         else:
             dist = from_jsonable(dist_doc)
-        overrides = doc.get("overrides", {})
-        return ExperimentConfig(
-            domain=domain,
-            distribution=dist,
-            algo=str(doc["algo"]),
-            m_values=tuple(map(index, doc["m_values"])),
-            trials=index(doc["trials"]),
-            base_seed=index(doc["base_seed"]),
-            eta_override=None if overrides.get("eta") is None else float(overrides["eta"]),
-            alpha_override=None if overrides.get("alpha") is None else float(overrides["alpha"]),
-            output_path=doc.get("output_path"),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad config document: {exc}") from exc
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"config field 'distribution' is not a distribution: {type(exc).__name__}: {exc}"
+        ) from exc
+    m_values = _field(doc, "m_values")
+    if not isinstance(m_values, (list, tuple)):
+        raise ConfigError(f"config field 'm_values' must be a list of integers, got {m_values!r}")
+    eta, alpha = (_field(doc, f"overrides.{key}", None) for key in ("eta", "alpha"))
+    output_path = _field(doc, "output_path", None)
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"config field 'output_path' must be a string, got {output_path!r}")
+    return ExperimentConfig(
+        domain=domain,
+        distribution=dist,
+        algo=str(_field(doc, "algo")),
+        m_values=tuple(_number(m, f"m_values[{i}]", index) for i, m in enumerate(m_values)),
+        trials=_number(_field(doc, "trials"), "trials", index),
+        base_seed=_number(_field(doc, "base_seed"), "base_seed", index),
+        eta_override=None if eta is None else _number(eta, "overrides.eta"),
+        alpha_override=None if alpha is None else _number(alpha, "overrides.alpha"),
+        output_path=output_path,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -306,13 +306,6 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     return (pi, trace) if return_trace else pi
 
 
-def _mbeg_iterate(w, basis, k: int):
-    """The iterate W = V diag(w) V^T and its hull statistics."""
-    w_now = (basis * w) @ basis.T
-    spectrum = w.tolist()
-    return w_now, (abs(float(w.sum()) - k), min(spectrum), max(spectrum))
-
-
 def _check_iterate(stats, step: int) -> None:
     trace_err, w_min, w_max = stats
     if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
@@ -338,9 +331,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     pair, then the oracle's.  They are drawn in blocks of up to
     ``STEP_CHUNK`` steps, and the steps up to the next nonzero estimate are
     mapped as a window under the current iterate, so a run of skipped steps
-    costs a few array operations.  After an update the next window is as
-    long as the gap between the last two informative steps, and each window
-    without one doubles the next.
+    costs a few array operations.  What depends only on the iterate -- its
+    diagonal and the diagonal's prefix sums -- is taken once per iterate; a
+    window resolves its pairs under those prefix sums and prices only the
+    pair that ends it (every row is priced only for a trace).  After an
+    update the next window is twice as long as the gap between the last two
+    informative steps, and each window without one doubles the next; the
+    window length sets how many windows run, never the result.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
@@ -355,10 +352,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     d, k = spec.d, spec.k
     w = np.full(d, k / d)      # iterate spectrum
     basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
-    w_now, stats = _mbeg_iterate(w, basis, k)
+    w_now = np.diag(w)         # the iterate V diag(w) V^T
+    stats = (abs(float(w.sum()) - k), k / d, k / d)  # trace error, smallest and largest eigenvalue
     # Each iterate is checked at the step that makes it, where a per-step
     # check would first see it.
     _check_iterate(stats, 0)
+    diag = w_now.diagonal()
+    cum = diag.cumsum()
     w_bar = np.zeros((d, d))
     held = 0  # steps W_now has been the iterate, not yet added to w_bar
     last = -1  # the last informative step
@@ -369,7 +369,7 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
         sampler = MbegPairSampler(block[:, :3], d, alpha, k)
         a = 0  # the block's next row to map
         while a < block.shape[0]:
-            s, q, p = sampler.pairs(w_now.diagonal(), a, a + window)
+            s, q = sampler.coordinates(cum, a, a + window)
             x_s, x_q = observe_block(dist, (s, q), block[a : a + window, 3])
             prod = x_s * x_q
             # The first nonzero estimate ends the window.  Its divisor (p, or
@@ -377,15 +377,19 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
             hit = prod.nonzero()[0]
             n = int(hit[0]) + 1 if hit.size else s.size
             held += n  # the average runs over W_1 .. W_m, each pre-update
-            before = stats
+            if windows is not None:
+                p = sampler.price(diag, s[:n], q[:n])
+                est = prod[:n] / np.where(s[:n] == q[:n], p, 2 * p)
+                before = stats
             # A zero estimate makes exp(log W + eta * 0) = W, already in the
             # hull, so the projection keeps it: the window's skipped steps keep
             # the iterate and its hull statistics.
             if hit.size:
                 step = block_start + a + n - 1
                 s_j, q_j = int(s[n - 1]), int(q[n - 1])
-                # the single term of mbeg_estimate(s_j, q_j, x_s, x_q, p)
-                v = float(prod[n - 1] / (p[n - 1] if s_j == q_j else 2 * p[n - 1]))
+                p_j = sampler.price(diag, s_j, q_j)
+                # the single term of mbeg_estimate(s_j, q_j, x_s, x_q, p_j)
+                v = float(prod[n - 1] / (p_j if s_j == q_j else 2 * p_j))
                 w_bar += held * w_now
                 held = 0
                 m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
@@ -396,9 +400,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 # projection maps tied values to tied values, so order is irrelevant.
                 vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
                 w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
-                w_now, stats = _mbeg_iterate(w, basis, k)
+                w_now = (basis * w) @ basis.T
+                spectrum = w.tolist()
+                stats = (abs(float(w.sum()) - k), min(spectrum), max(spectrum))
                 _check_iterate(stats, step)
-                window = step - last
+                diag = w_now.diagonal()
+                cum = diag.cumsum()
+                window = 2 * (step - last)
                 last = step
             else:
                 window *= 2
@@ -407,7 +415,6 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 # last step can have made a new one.
                 hull_rows = np.tile(before, (n, 1))
                 hull_rows[-1] = stats
-                est = prod[:n] / np.where(s[:n] == q[:n], p[:n], 2 * p[:n])
                 windows.append((s[:n], q[:n], x_s[:n], x_q[:n], est, hull_rows))
             a += n
 

@@ -98,10 +98,25 @@ def test_flags_digest_change_and_failed_checks(tmp_path, bench_compare):
     write_run(parent, "split-half", 1, 5.0, "aaaa")
     write_run(change, "split-half", 1, 5.0, "bbbb", passed=False)
     out = tmp_path / "BENCH.json"
-    bench_compare.main([str(parent), str(change), "--out", str(out)])
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 1
     res = json.loads(out.read_text())["end_to_end"]["split-half"]
     assert res["digests_equal"] is False
     assert res["checks_passed"] == {"parent": True, "change": False}
+
+
+@pytest.mark.parametrize("parent_run,change_run", [
+    ({"digest": "aaaa"}, {"digest": "bbbb"}),
+    ({"digest": "aaaa", "passed": False}, {"digest": "aaaa"}),
+], ids=["digest-only", "parent-check-only"])
+def test_each_fault_alone_fails_the_comparison(tmp_path, bench_compare, parent_run, change_run):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    write_run(parent, "mbeg-d16", 1, 5.0, **parent_run)
+    write_run(change, "mbeg-d16", 1, 5.0, **change_run)
+    write_run(parent, "split-half", 1, 5.0, "cccc")  # a clean workload does not mask it
+    write_run(change, "split-half", 1, 5.0, "cccc")
+    assert bench_compare.main([str(parent), str(change)]) == 1
 
 
 def test_no_common_workload_is_an_error(tmp_path, bench_compare):

@@ -392,6 +392,31 @@ class TestDrawMbegPair:
             assert np.array_equal(s_run, s[250:420]) and np.array_equal(q_run, q[250:420])
             assert p_run.tobytes() == p[250:420].tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("d,k", [(2, 1), (5, 1), (5, 2), (16, 2), (16, 3)])
+    def test_split_sampler_matches_pairs(self, d, k, alpha):
+        # The learner takes one prefix sum per iterate, resolves many runs of
+        # rows under it and prices only the row that ends a run.
+        rng = make_rng(60 + 3 * d + k)
+        n = 500
+        sampler = MbegPairSampler(rng.random((n, 3)), d, alpha, k)
+        support = np.zeros(d)
+        support[rng.permutation(d)[:k]] = 1.0  # a coordinate projector's diagonal
+        sparse = rng.random(d) * (rng.random(d) < 0.5)
+        sparse[rng.integers(d)] += 0.1
+        diags = _hull_diagonals(rng, d, k, 3) + [support, k * sparse / sparse.sum()]
+        for diag in diags:
+            s, q, p = sampler.pairs(diag)
+            cum = diag.cumsum()
+            cuts = [0, *np.sort(rng.choice(np.arange(1, n), 20, replace=False)).tolist(), n]
+            runs = [sampler.coordinates(cum, a, b) for a, b in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate([run[0] for run in runs]), s)
+            assert np.array_equal(np.concatenate([run[1] for run in runs]), q)
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            hit_prices = [sampler.price(diag, s_j, q_j) for s_j, q_j in zip(s.tolist(), q.tolist())]
+            assert np.array(hit_prices).tobytes() == table[s, q].tobytes()
+            assert p.tobytes() == table[s, q].tobytes()
+
     def test_rejects_alpha_above_half(self):
         with pytest.raises(BadAlpha):
             MbegPairSampler(np.full((1, 3), 0.5), 2, 0.6, 1)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -331,6 +332,66 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_dict({"algo": "mbgd"})
 
+    DOC = {
+        "domain": {"d": 4, "k": 1, "r": 2, "G": 1.0},
+        "distribution": "dyadic:s=0,eps=0.2,c=4",
+        "algo": "mbgd",
+        "m_values": [100, 200],
+        "trials": 2,
+        "base_seed": 7,
+    }
+    INTEGER_FIELDS = ["domain.d", "domain.k", "domain.r", "m_values", "trials", "base_seed"]
+
+    @staticmethod
+    def _edited(field, value):
+        """DOC with ``field`` set to ``value`` (a list field: its last entry), or removed."""
+        doc = json.loads(json.dumps(TestConfigParsing.DOC))
+        *parents, key = field.split(".")
+        node = doc
+        for parent in parents:
+            node = node[parent]
+        if value is None:
+            del node[key]
+        elif isinstance(node.get(key), list):
+            node[key][-1] = value
+        else:
+            node[key] = value
+        return doc
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_missing_field_is_named(self, field):
+        with pytest.raises(ConfigError, match=f"^config field '{field}' is missing$"):
+            config_from_dict(self._edited(field, None))
+
+    @pytest.mark.parametrize("value", [2.9, True, False, "3"], ids=["real", "true", "false", "string"])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_non_integer_field_is_named(self, field, value):
+        named = "m_values[1]" if field == "m_values" else field
+        message = f"config field '{named}' must be an integer, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(self._edited(field, value))
+
+    def test_document_errors_name_the_field(self):
+        cases = {
+            "domain.G": ("x", "config field 'domain.G' must be a number, got 'x'"),
+            "domain.k": (4, "config field 'domain': k must satisfy 1 <= k < d"),
+            "distribution": (5, "config field 'distribution' is not a distribution"),
+            "m_values": (None, "config field 'm_values' is missing"),
+            "output_path": (3, "config field 'output_path' must be a string, got 3"),
+        }
+        for field, (value, message) in cases.items():
+            with pytest.raises(ConfigError) as info:
+                config_from_dict(self._edited(field, value))
+            assert str(info.value).startswith(message)
+        with pytest.raises(ConfigError, match="config field 'overrides' must be a JSON object"):
+            config_from_dict(dict(self.DOC, overrides=[]))
+        with pytest.raises(ConfigError, match="config field 'overrides.eta' must be a number"):
+            config_from_dict(dict(self.DOC, overrides={"eta": True}))
+
+    def test_repeated_budget_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"m=200 repeats in m_values \(200, 100, 200\)"):
+            config_from_dict(dict(self.DOC, m_values=[200, 100, 200]))
+
 
 class TestCli:
     def test_run_inline(self, tmp_path):
@@ -440,6 +501,35 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith("error: ")
         if not argv:
             assert str(cfg_path) in captured.err
+
+    def test_repeated_budget_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [*self.RUN_D4[:-6], "--m", "10", "10", "--trials", "2", "--seed", "3",
+                "--dist", "dyadic:s=0,eps=0.25,c=4", "--out", str(out)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "m=10 repeats" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["domain.d", "domain.k", "domain.r", "m_values", "trials",
+                                       "base_seed"])
+    def test_boolean_config_field_exits_2_and_names_it(self, field, tmp_path, capsys):
+        doc = TestConfigParsing._edited(field, True)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        named = "m_values[1]" if field == "m_values" else field
+        assert capsys.readouterr().err == f"error: config field '{named}' must be an integer, got True\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dropped,field", [("--G", "domain.G"), ("--seed", "base_seed")])
+    def test_missing_flag_names_the_field(self, dropped, field, capsys):
+        argv = [*self.RUN_D4, "--dist", "dyadic:s=0,eps=0.25,c=4"]
+        at = argv.index(dropped)
+        assert cli_main(argv[:at] + argv[at + 2:]) == 2
+        assert capsys.readouterr().err == f"error: config field '{field}' is missing\n"
 
     def test_run_prints_mean_excess_per_budget_to_stderr(self, tmp_path, capsys):
         argv = ["run", "--algo", "mbgd", "--d", "6", "--k", "1", "--r", "2", "--G", "1",
