@@ -24,9 +24,11 @@ Usage:
         [--out BENCH_n.json] [--parent-label REV] [--change-label REV]
 
 The table goes to stdout; ``--out`` also writes it as JSON.  The exit code
-is 1 when the seeds of a pair have different digests, when a check or a
-trial failed in either checkout, or when no workload has runs in both; a
-cell above 900 trials is only flagged.
+is 1 when a run's ``meta.git_commit`` is not its checkout's HEAD (a stale
+file left by an earlier commit), when a (trace, workload, seed) has a run in
+one checkout only, when the seeds of a pair have different digests, when a
+check or a trial failed in either checkout, or when no workload has runs in
+both; a cell above 900 trials is only flagged.
 """
 
 from __future__ import annotations
@@ -45,17 +47,62 @@ FINITE_CHECK, MEAN_EXCESS_CHECK = ": finite excess", ": mean excess"  # check na
 MAX_MEAN_EXCESS_TRIALS = 900  # the binomial tail of a mean-excess check overflows above 1,029
 
 
+class UnusableRuns(Exception):
+    """Runs that cannot be compared: made at another commit, or with no partner run."""
+
+
+def checkout_head(checkout: Path) -> str:
+    """HEAD of a checkout read from its .git as ``bench/run.py`` records it; "unknown" if none.
+
+    Like ``bench/run.py``, it never searches parent directories, so a copy
+    of a commit without .git reads "unknown" on both sides.
+    """
+    git = checkout / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head[5:]
+        loose = git / ref
+        if loose.is_file():
+            return loose.read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            if line.endswith(" " + ref):
+                return line.split()[0]
+    except OSError:
+        pass
+    return "unknown"
+
+
 def load_runs(checkout: Path) -> dict:
-    """{trace: {workload: {seed: report}}} for the runs of one checkout."""
+    """{trace: {workload: {seed: report}}} for the runs of one checkout.
+
+    Raises ``UnusableRuns`` naming a run whose ``meta.git_commit`` is not the
+    checkout's HEAD: a leftover of an earlier commit, not a run of this one.
+    """
+    head = checkout_head(checkout)
     runs: dict = {}
     for path in sorted((checkout / "bench" / "out").glob("*.json")):
         match = RUN_NAME.match(path.name)
         if match:
+            report = json.loads(path.read_text())
+            commit = report["meta"].get("git_commit")
+            if commit != head:
+                raise UnusableRuns(f"{path}: run of commit {commit}, but the checkout is at {head}")
             by_workload = runs.setdefault(int(match["trace"]), {})
-            by_workload.setdefault(match["workload"], {})[int(match["seed"])] = json.loads(
-                path.read_text()
-            )
+            by_workload.setdefault(match["workload"], {})[int(match["seed"])] = report
     return runs
+
+
+def unpaired(parent: dict, change: dict) -> list[str]:
+    """A line for every (trace, workload, seed) that has a run in one checkout only."""
+    def keys(runs):
+        return {(t, w, s) for t, by_workload in runs.items()
+                for w, by_seed in by_workload.items() for s in by_seed}
+
+    sides = (("parent", keys(parent) - keys(change)), ("change", keys(change) - keys(parent)))
+    return [f"{w} seed {s} trace {t}: a run in the {side} checkout only"
+            for side, lonely in sides for t, w, s in sorted(lonely)]
 
 
 def spread(values: list[float]) -> dict:
@@ -90,7 +137,7 @@ def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
 
 
 def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
-    seeds = sorted(set(parent) & set(change))
+    seeds = sorted(parent)  # ``unpaired`` found none: both sides ran the same seeds
     out: dict = {"seeds": seeds, "metrics": {}}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -169,7 +216,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    parent, change = load_runs(args.parent), load_runs(args.change)
+    try:
+        parent, change = load_runs(args.parent), load_runs(args.change)
+    except UnusableRuns as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    lonely = unpaired(parent, change)
+    if lonely:
+        print("\n".join(f"error: {line}" for line in lonely), file=sys.stderr)
+        return 1
     views = {
         view: {
             w: compare_workload(benchmark[view], parent[trace][w], change[trace][w])

@@ -24,7 +24,6 @@ from .evaluation import (
     excess_loss,
     identified_fraction,
     loss,
-    optimal_projection,
 )
 from .harness import (
     ExperimentConfig,
@@ -44,7 +43,6 @@ from .learners import (
     full_info_pca,
     mbeg,
     mbgd,
-    simplex_project_scaled,
 )
 from .oracles import (
     DistributionSpec,
@@ -62,7 +60,7 @@ from .oracles import (
     save_distribution,
 )
 from .seeding import make_rng, mix64
-from .spectral import EigenSystem, frob_inner, spectral_norm, sym_eig, sym_matrix
+from .spectral import EigenSystem, frob_inner, sym_eig, sym_matrix
 
 __version__ = "0.1.0"
 
@@ -106,7 +104,6 @@ __all__ = [
     "mbgd",
     "mix64",
     "observe",
-    "optimal_projection",
     "parse_csv",
     "projector_from_basis",
     "run_sweep",
@@ -114,8 +111,6 @@ __all__ = [
     "sample_component",
     "sample_instances",
     "save_distribution",
-    "simplex_project_scaled",
-    "spectral_norm",
     "sym_eig",
     "sym_matrix",
     "top_k_projector",

@@ -207,13 +207,12 @@ def projector_from_basis(v) -> ProjectionMatrix:
     return ProjectionMatrix(matrix=0.5 * (m + m.T), rank=k, basis=b)
 
 
-def top_k_projector(source, k: int) -> ProjectionMatrix:
-    """Projector onto the span of the k leading eigenvectors.
+def top_k_projector(m, k: int) -> ProjectionMatrix:
+    """Projector onto the span of the k leading eigenvectors of a symmetric matrix.
 
-    ``source`` is a symmetric matrix or an :class:`EigenSystem`; eigenvalue
-    ties at the cut are resolved by the deterministic order of ``sym_eig``.
+    Eigenvalue ties at the cut are resolved by the deterministic order of ``sym_eig``.
     """
-    eig = source if isinstance(source, EigenSystem) else sym_eig(source)
+    eig = sym_eig(m)
     if not 1 <= k <= eig.dim:
         raise DimMismatch(f"k={k} out of range for dimension {eig.dim}")
     return projector_from_basis(eig.vectors[:, :k])

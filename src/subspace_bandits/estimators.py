@@ -14,8 +14,9 @@ Both are exactly unbiased for E[x x^T]: the probability-weighted sum of the
 single-pair estimate over all d^2 ordered pairs reproduces x x^T identically,
 and averaging the split-half estimate over all index tuples does the same.
 
-The per-observation functions (``split_halves``, ``estimate_asym``,
-``estimate_sym``) state the split-half estimator one step at a time;
+The per-observation functions (``split_halves``, which returns the pair of
+scaled halves, ``estimate_asym`` and ``estimate_sym``, which take that pair)
+state the split-half estimator one step at a time;
 ``split_half_sum`` is its block engine, which sums m steps' cross products
 with a few array operations per chunk of steps.
 """
@@ -32,23 +33,6 @@ from .oracles import DistributionSpec, PartialObservation, observe_block
 
 PROB_TOL = 1e-12
 STEP_CHUNK = 1024  # steps whose random draws a block engine takes at once
-
-
-@dataclass(frozen=True, eq=False)
-class SplitHalves:
-    """The two scaled half-sums x_hat, y_hat built from one observation.
-
-    x_hat accumulates (2d/r) * value * e_index over the first r/2 draws
-    (duplicate indices accumulate additively), y_hat over the second half.
-    Each half is a dense length-d vector with at most r/2 nonzero entries.
-    """
-
-    x_hat: np.ndarray
-    y_hat: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.x_hat.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +63,13 @@ def draw_uniform_indices(d: int, r: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, d, size=r)
 
 
-def split_halves(obs: PartialObservation, spec: DomainSpec) -> SplitHalves:
-    """Scaled half-sums of one observation (budget = spec.r, even)."""
+def split_halves(obs: PartialObservation, spec: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled half-sums (x_hat, y_hat) of one observation (budget = spec.r, even).
+
+    x_hat accumulates (2d/r) * value * e_index over the first r/2 draws
+    (duplicate indices accumulate additively), y_hat over the second half.
+    Each half is a dense length-d vector with at most r/2 nonzero entries.
+    """
     r = spec.r
     if r < 2 or r % 2 != 0:
         raise OddBudget(f"split-half estimators need an even budget r >= 2, got r={r}")
@@ -94,38 +83,40 @@ def split_halves(obs: PartialObservation, spec: DomainSpec) -> SplitHalves:
         x_hat[obs.indices[t]] += scale * obs.values[t]
     for t in range(half, r):
         y_hat[obs.indices[t]] += scale * obs.values[t]
-    return SplitHalves(x_hat=x_hat, y_hat=y_hat)
+    return x_hat, y_hat
 
 
-def estimate_asym(h: SplitHalves) -> SparseEstimate:
+def estimate_asym(halves: tuple[np.ndarray, np.ndarray]) -> SparseEstimate:
     """The raw cross term (1/2) x_hat y_hat^T, without symmetrization.
 
     The uniform-sampling spectral learner accumulates these and symmetrizes
     once at the end; the factor 1/2 rescales the spectrum but not the
     eigenvectors, so the output projector is unaffected.
     """
+    x_hat, y_hat = halves
     terms = []
-    for i in np.flatnonzero(h.x_hat):
-        xi = h.x_hat[i]
-        for j in np.flatnonzero(h.y_hat):
-            terms.append((int(i), int(j), 0.5 * xi * h.y_hat[j]))
-    return SparseEstimate(dim=h.dim, terms=tuple(terms), symmetric=False)
+    for i in np.flatnonzero(x_hat):
+        xi = x_hat[i]
+        for j in np.flatnonzero(y_hat):
+            terms.append((int(i), int(j), 0.5 * xi * y_hat[j]))
+    return SparseEstimate(dim=x_hat.size, terms=tuple(terms), symmetric=False)
 
 
-def estimate_sym(h: SplitHalves) -> SparseEstimate:
+def estimate_sym(halves: tuple[np.ndarray, np.ndarray]) -> SparseEstimate:
     """Symmetric split-half estimate (1/2) x_hat y_hat^T + (1/2) y_hat x_hat^T.
 
     Unbiased for E[x x^T] under uniform index draws.
     """
+    x_hat, y_hat = halves
     terms = []
-    for i in np.flatnonzero(h.x_hat):
-        xi = h.x_hat[i]
-        for j in np.flatnonzero(h.y_hat):
+    for i in np.flatnonzero(x_hat):
+        xi = x_hat[i]
+        for j in np.flatnonzero(y_hat):
             if i == j:
-                terms.append((int(i), int(i), xi * h.y_hat[j]))
+                terms.append((int(i), int(i), xi * y_hat[j]))
             else:
-                terms.append((int(i), int(j), 0.5 * xi * h.y_hat[j]))
-    return SparseEstimate(dim=h.dim, terms=tuple(terms), symmetric=True)
+                terms.append((int(i), int(j), 0.5 * xi * y_hat[j]))
+    return SparseEstimate(dim=x_hat.size, terms=tuple(terms), symmetric=True)
 
 
 def split_half_sum(
@@ -239,9 +230,9 @@ class MbegPairSampler:
     they are mapped once, when the block is built; ``coordinates`` resolves
     the weighted coordinates of a run of rows under the prefix sums it is
     given, so one block serves every iterate that draws from it, and
-    ``price`` is the table's formula at given pairs.  ``pairs`` is the two
-    composed; a caller that keeps an iterate for many runs of rows takes
-    the prefix sums once and prices only the pairs it needs.
+    ``price`` is the table's formula at given pairs.  A caller that keeps
+    an iterate for many runs of rows takes the prefix sums once and prices
+    only the pairs it needs.
     """
 
     __slots__ = ("_d", "_k", "_alpha", "_keys", "_uniform", "_weighted")
@@ -270,18 +261,6 @@ class MbegPairSampler:
         """The table entries p_{s,q} under the diagonal ``diag`` of W, at scalar or array (s, q)."""
         d = self._d
         return (1 - self._alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + self._alpha / d**2
-
-    def pairs(self, diag, start: int = 0, stop: int | None = None):
-        """(s, q, p) arrays for rows ``start:stop`` under the diagonal ``diag`` of W.
-
-        ``diag`` is nonnegative and sums to k; p is the table's own formula,
-        so it equals the table entry exactly.
-        """
-        diag = np.asarray(diag, dtype=float)
-        if diag.size != self._d:
-            raise DimMismatch(f"diagonal has {diag.size} entries, expected d={self._d}")
-        s, q = self.coordinates(diag.cumsum(), start, stop)
-        return s, q, self.price(diag, s, q)
 
 
 def mbeg_estimate(

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import ProjectionMatrix, top_k_projector
-from .errors import DimMismatch, MissingBasis
+from .domain import ProjectionMatrix
+from .errors import DimMismatch, InvalidMatrix, MissingBasis
 from .oracles import DistributionSpec, Moments
 from .spectral import frob_inner
 
@@ -56,12 +56,6 @@ def _optimal_loss(mom: Moments, k: int) -> float:
     return mom.mean_sq_norm - float(np.sum(mom.eig.values[:k]))
 
 
-def optimal_projection(mom: Moments, k: int) -> tuple[ProjectionMatrix, float]:
-    """The top-k projector of C and its loss (the optimum over all projectors)."""
-    best = _optimal_loss(mom, k)
-    return top_k_projector(mom.eig, k), best
-
-
 def excess_loss(pi: ProjectionMatrix, mom: Moments, k: int) -> LossReport:
     """Loss of ``pi`` minus the optimal loss; tiny negatives report as 0.
 
@@ -72,7 +66,7 @@ def excess_loss(pi: ProjectionMatrix, mom: Moments, k: int) -> LossReport:
     best = _optimal_loss(mom, k)
     excess = value - best
     if excess < -NEG_EXCESS_TOL:
-        raise ValueError(
+        raise InvalidMatrix(
             f"excess {excess:.3g} below -{NEG_EXCESS_TOL}: projector beats the exact optimum, "
             "inputs are inconsistent"
         )

@@ -39,6 +39,7 @@ from .errors import (
     DimMismatch,
     EmptySample,
     InfeasibleK,
+    InvalidMatrix,
     NotInHull,
     OddBudget,
 )
@@ -58,23 +59,6 @@ from .spectral import LOG_FLOOR, EigenSystem, sym_eig
 # ---------------------------------------------------------------------------
 # Spectrum projections
 # ---------------------------------------------------------------------------
-
-def simplex_project_scaled(lam, k: float) -> np.ndarray:
-    """Euclidean projection onto the scaled simplex {v >= 0, sum(v) = k}.
-
-    Threshold form: find the largest prefix size rho of the sorted values for
-    which the shifted value stays positive, set theta to the prefix mean
-    excess, and return max(lam - theta, 0).
-    """
-    v = np.asarray(lam, dtype=float)
-    sorted_desc = np.sort(v)[::-1]
-    cumsum = np.cumsum(sorted_desc)
-    js = np.arange(1, v.size + 1)
-    positive = sorted_desc - (cumsum - k) / js > 0
-    rho = int(js[positive][-1])
-    theta = (cumsum[rho - 1] - k) / rho
-    return np.maximum(v - theta, 0.0)
-
 
 def capped_simplex_project(lam, k: float) -> np.ndarray:
     """Euclidean projection onto the capped simplex {0 <= v <= 1, sum(v) = k}.
@@ -127,7 +111,9 @@ def entropic_project(mu, k: int) -> np.ndarray:
     0 <= v <= 1, sum(v) = k.  The minimizer is v = min(t * mu, 1) for the
     scale t matching the trace; equivalently, cap the largest c entries at 1
     for the smallest c that leaves every rescaled remaining entry at most 1.
-    Output entries are strictly positive and order-preserving.
+    Output entries are strictly positive and order-preserving.  A spectrum
+    with an entry that is not positive, or whose sum is not finite, raises
+    :class:`InvalidMatrix`.
     """
     v = np.asarray(mu, dtype=float)
     d = v.size
@@ -135,13 +121,15 @@ def entropic_project(mu, k: int) -> np.ndarray:
         raise InfeasibleK(f"target trace {k} must lie in [1, {d}]")
     ascending = np.sort(v)
     lo, hi = float(ascending[0]), float(ascending[-1])
-    if not lo > 0 or math.isnan(hi):
-        raise ValueError(
-            f"spectrum must be strictly positive and not NaN, got min {lo:.3g}, max {hi:.3g}"
-        )
     # Capping the c largest entries leaves the d - c smallest to rescale; their
     # sum is the ascending running sum up to position d - 1 - c.
     running = np.cumsum(ascending)
+    # An infinite sum (an overflowed exp) would scale every entry to 0; NaN fails both tests.
+    if not lo > 0 or not math.isfinite(running[-1]):
+        raise InvalidMatrix(
+            f"spectrum must be strictly positive with a finite sum, got min {lo:.3g}, "
+            f"max {hi:.3g}, sum {running[-1]:.3g}"
+        )
     # c = k - 1 always satisfies the cap condition, so the loop cannot fall through.
     for c in range(k):
         t = (k - c) / float(running[d - 1 - c])
@@ -438,13 +426,11 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 def full_info_pca(samples, k: int) -> ProjectionMatrix:
     """Top-k projector of the empirical correlation matrix (1/m) sum x x^T.
 
-    ``samples`` is an (m, d) array, used as it is, or a list of
-    instances/vectors, stacked into one.
+    ``samples`` is an (m, d) array, used as it is, or a list of m vectors,
+    stacked into one.
     """
-    if hasattr(samples, "__len__") and len(samples) == 0:
+    if len(samples) == 0:
         raise EmptySample("batch PCA needs at least one sample")
-    if not isinstance(samples, np.ndarray):
-        samples = [getattr(s, "x", s) for s in samples]
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DimMismatch(f"samples must form an (m, d) array, got shape {x.shape}")

@@ -2,7 +2,7 @@
 
 Everything downstream (learners, projections, loss evaluation) goes through
 these few primitives: symmetric ingest, eigendecomposition with a
-deterministic ordering, Frobenius inner product, and the spectral norm.
+deterministic ordering, and the Frobenius inner product.
 Matrices are plain float64 ``numpy`` arrays; ``sym_matrix`` is the single
 ingest point that symmetrizes once.
 """
@@ -98,9 +98,3 @@ def frob_inner(a, b) -> float:
         raise DimMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.sum(a * b))
 
-
-def spectral_norm(m) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    a = sym_matrix(m)
-    vals = np.linalg.eigvalsh(a)
-    return float(np.max(np.abs(vals)))

@@ -28,8 +28,12 @@ def bench_compare():
 
 
 def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True, cells=(),
-              peak_rss_mb=None):
-    """One run's report; ``cells`` holds (label, trials, has a mean-excess check) per cell."""
+              peak_rss_mb=None, commit="unknown"):
+    """One run's report; ``cells`` holds (label, trials, has a mean-excess check) per cell.
+
+    ``commit`` is the run's ``meta.git_commit``: "unknown", as ``bench/run.py``
+    records it, for a checkout without a .git directory.
+    """
     out = checkout / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
     checks = [{"name": "output", "passed": passed, "detail": ""}]
@@ -40,7 +44,8 @@ def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=Tr
             checks.append({"name": f"{label}: mean excess", "passed": True,
                            "detail": f"0.0000 with 0 misses of {trials} trials"})
     report = {
-        "meta": {"workload": workload, "seed": seed, "seconds": 25.0, "nproc": 2, "numpy": "2.x"},
+        "meta": {"workload": workload, "seed": seed, "seconds": 25.0, "nproc": 2, "numpy": "2.x",
+                 "git_commit": commit},
         "extras": {"trials": int(trials_per_s * 25), "digest": digest},
         "checks": checks,
         "failed_trials": [],
@@ -64,7 +69,6 @@ def test_pairs_runs_by_seed_and_reports_spread(tmp_path, bench_compare, capsys):
     for seed, old, new in ((101, 10.0, 28.0), (102, 11.0, 29.0), (103, 9.0, 8.0)):
         write_run(parent, "mbeg-d16", seed, old, f"d{seed}")
         write_run(change, "mbeg-d16", seed, new, f"d{seed}")
-    write_run(change, "mbeg-d16", 104, 30.0, "d104")  # no parent run: left out
     write_run(parent, "mbeg-d16", 101, 1.0, "d101", trace=1)  # traced: the per-layer view
     write_run(change, "mbeg-d16", 101, 2.0, "d101", trace=1)
     out = tmp_path / "BENCH.json"
@@ -154,3 +158,59 @@ def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_co
     assert "cell trials  change  mbgd r=2: [950, 880]" in printed
     rss = next(line for line in printed.splitlines() if line.strip().startswith("peak_rss_mb"))
     assert rss.endswith("trials (median) parent 125  change 225")
+
+
+def test_one_sided_runs_fail_the_comparison_and_are_named(tmp_path, bench_compare, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    for seed in (101, 102):
+        write_run(parent, "mbeg-d16", seed, 10.0, f"d{seed}")
+        write_run(change, "mbeg-d16", seed, 10.0, f"d{seed}")
+    write_run(change, "mbeg-d16", 103, 10.0, "d103")  # the parent's run crashed
+    write_run(parent, "split-half", 1, 5.0, "a", trace=1)  # a whole workload on one side
+    assert bench_compare.main([str(parent), str(change)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: split-half seed 1 trace 1: a run in the parent checkout only",
+                   "error: mbeg-d16 seed 103 trace 0: a run in the change checkout only"]
+
+
+def _git_checkout(path, head, ref_file=None, packed=None):
+    """A checkout whose .git holds only what HEAD resolution reads."""
+    git = path / ".git"
+    git.mkdir(parents=True)
+    (git / "HEAD").write_text(head + "\n")
+    if ref_file is not None:
+        (git / "refs" / "heads").mkdir(parents=True)
+        (git / "refs" / "heads" / "main").write_text(ref_file + "\n")
+    if packed is not None:
+        (git / "packed-refs").write_text(f"# pack-refs with: peeled\n{packed} refs/heads/main\n")
+
+
+@pytest.mark.parametrize("layout", [
+    {"head": "c" * 40},
+    {"head": "ref: refs/heads/main", "ref_file": "c" * 40},
+    {"head": "ref: refs/heads/main", "packed": "c" * 40},
+], ids=["detached", "loose-ref", "packed-ref"])
+def test_checkout_head_reads_what_bench_run_records(tmp_path, bench_compare, layout):
+    _git_checkout(tmp_path, **layout)
+    assert bench_compare.checkout_head(tmp_path) == "c" * 40
+    assert bench_compare.checkout_head(tmp_path / "no-git") == "unknown"
+
+
+def test_a_run_from_another_commit_fails_and_is_named(tmp_path, bench_compare, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _git_checkout(parent, "a" * 40)
+    _git_checkout(change, "ref: refs/heads/main", ref_file="b" * 40)
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    write_run(parent, "mbeg-d16", 1, 5.0, "d", commit="a" * 40)
+    write_run(change, "mbeg-d16", 1, 5.0, "d", commit="b" * 40)
+    assert bench_compare.main([str(parent), str(change)]) == 0
+    capsys.readouterr()
+    # a later run of seed 2 crashed on the change side, leaving an older commit's file
+    write_run(parent, "mbeg-d16", 2, 5.0, "d", commit="a" * 40)
+    write_run(change, "mbeg-d16", 2, 5.0, "d", commit="9" * 40)
+    assert bench_compare.main([str(parent), str(change)]) == 1
+    err = capsys.readouterr().err
+    stale = change / "bench" / "out" / "mbeg-d16-seed2-trace0.json"
+    assert err == f"error: {stale}: run of commit {'9' * 40}, but the checkout is at {'b' * 40}\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import BadAlpha, DimMismatch, OddBudget, ZeroProbability
+from subspace_bandits.errors import BadAlpha, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     MbegPairSampler,
     PairProbabilities,
@@ -21,7 +21,6 @@ from subspace_bandits.estimators import (
 )
 from subspace_bandits.oracles import DistributionSpec, PartialObservation
 from subspace_bandits.seeding import make_rng
-from subspace_bandits.spectral import spectral_norm
 
 from util import (
     ScalarPairSampler,
@@ -29,6 +28,7 @@ from util import (
     random_hull_element,
     random_hull_spectrum,
     scalar_split_half_sum,
+    spectral_norm,
 )
 
 
@@ -76,21 +76,21 @@ class TestDrawUniformIndices:
 class TestSplitHalves:
     def test_single_pair(self):
         spec = DomainSpec(d=4, k=1, r=2, G=2.0)
-        h = split_halves(obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), spec)
-        assert np.array_equal(h.x_hat, [4.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(h.y_hat, [0.0, -4.0, 0.0, 0.0])
+        x_hat, y_hat = split_halves(obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), spec)
+        assert np.array_equal(x_hat, [4.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(y_hat, [0.0, -4.0, 0.0, 0.0])
 
     def test_duplicates_accumulate(self):
         # scale 2d/r = 2; the duplicated first coordinate adds twice
         spec = DomainSpec(d=4, k=1, r=4, G=2.0)
-        h = split_halves(obs_from([1.0, 0.5, 0.0, 0.0], (0, 0, 1, 2)), spec)
-        assert np.array_equal(h.x_hat, [4.0, 0.0, 0.0, 0.0])
-        assert np.array_equal(h.y_hat, [0.0, 1.0, 0.0, 0.0])
+        x_hat, y_hat = split_halves(obs_from([1.0, 0.5, 0.0, 0.0], (0, 0, 1, 2)), spec)
+        assert np.array_equal(x_hat, [4.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(y_hat, [0.0, 1.0, 0.0, 0.0])
 
     def test_zero_values(self):
         spec = DomainSpec(d=3, k=1, r=2, G=1.0)
-        h = split_halves(obs_from([0.0, 0.0, 0.0], (1, 2)), spec)
-        assert not h.x_hat.any() and not h.y_hat.any()
+        x_hat, y_hat = split_halves(obs_from([0.0, 0.0, 0.0], (1, 2)), spec)
+        assert not x_hat.any() and not y_hat.any()
 
     def test_odd_budget_rejected(self):
         spec = DomainSpec(d=4, k=1, r=3, G=1.0)
@@ -339,7 +339,7 @@ class TestDrawMbegPair:
                             continue
                         mids.append([(b_lo + b_hi) / 2, (s_lo + s_hi) / 2, (q_lo + q_hi) / 2])
                         masses.append(mass)
-            s, q, _ = MbegPairSampler(np.array(mids), d, alpha, k).pairs(diag)
+            s, q = MbegPairSampler(np.array(mids), d, alpha, k).coordinates(diag.cumsum())
             law = np.zeros((d, d))
             np.add.at(law, (s, q), masses)
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
@@ -351,7 +351,7 @@ class TestDrawMbegPair:
         diag = _hull_diagonals(rng, d, k, 1)[0]
         table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
         n = 60_000
-        s, q, _ = MbegPairSampler(rng.random((n, 3)), d, alpha, k).pairs(diag)
+        s, q = MbegPairSampler(rng.random((n, 3)), d, alpha, k).coordinates(diag.cumsum())
         counts = np.zeros((d, d))
         np.add.at(counts, (s, q), 1)
         # the largest cell standard deviation is below 0.0021, so 0.01 is ~5 sd
@@ -364,8 +364,9 @@ class TestDrawMbegPair:
         d = 6
         for diag in _hull_diagonals(rng, d, k, 5):
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
-            s, q, p = MbegPairSampler(rng.random((40, 3)), d, alpha, k).pairs(diag)
-            assert np.array_equal(p, table[s, q])
+            sampler = MbegPairSampler(rng.random((40, 3)), d, alpha, k)
+            s, q = sampler.coordinates(diag.cumsum())
+            assert np.array_equal(sampler.price(diag, s, q), table[s, q])
 
     @pytest.mark.parametrize("d", [1, 2, 5, 16])
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5])
@@ -382,19 +383,21 @@ class TestDrawMbegPair:
         for diag in diags:
             sampler = MbegPairSampler(u, d, alpha, k)
             ref = ScalarPairSampler(diag, alpha, k)
-            s, q, p = sampler.pairs(diag)
+            cum = diag.cumsum()
+            s, q = sampler.coordinates(cum)
+            p = sampler.price(diag, s, q)
             expected = [ref.draw(_FixedUniforms(row)) for row in u]
             assert s.tolist() == [e[0] for e in expected]
             assert q.tolist() == [e[1] for e in expected]
             assert p.tobytes() == np.array([e[2] for e in expected]).tobytes()
             # a run of rows maps as it does inside the whole block
-            s_run, q_run, p_run = sampler.pairs(diag, 250, 420)
+            s_run, q_run = sampler.coordinates(cum, 250, 420)
             assert np.array_equal(s_run, s[250:420]) and np.array_equal(q_run, q[250:420])
-            assert p_run.tobytes() == p[250:420].tobytes()
+            assert sampler.price(diag, s_run, q_run).tobytes() == p[250:420].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.5])
     @pytest.mark.parametrize("d,k", [(2, 1), (5, 1), (5, 2), (16, 2), (16, 3)])
-    def test_split_sampler_matches_pairs(self, d, k, alpha):
+    def test_runs_of_rows_match_the_whole_block(self, d, k, alpha):
         # The learner takes one prefix sum per iterate, resolves many runs of
         # rows under it and prices only the row that ends a run.
         rng = make_rng(60 + 3 * d + k)
@@ -406,8 +409,8 @@ class TestDrawMbegPair:
         sparse[rng.integers(d)] += 0.1
         diags = _hull_diagonals(rng, d, k, 3) + [support, k * sparse / sparse.sum()]
         for diag in diags:
-            s, q, p = sampler.pairs(diag)
             cum = diag.cumsum()
+            s, q = sampler.coordinates(cum)
             cuts = [0, *np.sort(rng.choice(np.arange(1, n), 20, replace=False)).tolist(), n]
             runs = [sampler.coordinates(cum, a, b) for a, b in zip(cuts, cuts[1:])]
             assert np.array_equal(np.concatenate([run[0] for run in runs]), s)
@@ -415,15 +418,11 @@ class TestDrawMbegPair:
             table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
             hit_prices = [sampler.price(diag, s_j, q_j) for s_j, q_j in zip(s.tolist(), q.tolist())]
             assert np.array(hit_prices).tobytes() == table[s, q].tobytes()
-            assert p.tobytes() == table[s, q].tobytes()
+            assert sampler.price(diag, s, q).tobytes() == table[s, q].tobytes()
 
     def test_rejects_alpha_above_half(self):
         with pytest.raises(BadAlpha):
             MbegPairSampler(np.full((1, 3), 0.5), 2, 0.6, 1)
-
-    def test_rejects_a_diagonal_of_the_wrong_size(self):
-        with pytest.raises(DimMismatch):
-            MbegPairSampler(np.full((1, 3), 0.5), 3, 0.3, 1).pairs(np.full(2, 0.5))
 
 
 class TestMbegEstimate:

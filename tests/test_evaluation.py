@@ -3,13 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from subspace_bandits.domain import DomainSpec, projector_from_basis
-from subspace_bandits.errors import DimMismatch, MissingBasis
+from subspace_bandits.domain import DomainSpec, projector_from_basis, top_k_projector
+from subspace_bandits.errors import DimMismatch, InvalidMatrix, MissingBasis
 from subspace_bandits.evaluation import (
     excess_loss,
     identified_fraction,
     loss,
-    optimal_projection,
 )
 from subspace_bandits.oracles import (
     coin_fixture,
@@ -28,6 +27,12 @@ def coordinate_projector(d, coords):
     for c in coords:
         m[c, c] = 1.0
     return projector_from_basis(np.eye(d)[:, list(coords)])
+
+
+def optimum(mom, k):
+    """The top-k projector of C and its loss, the optimum over all rank-k projectors."""
+    pi = top_k_projector(mom.C, k)
+    return pi, excess_loss(pi, mom, k).optimal_loss
 
 
 class TestLoss:
@@ -69,7 +74,7 @@ class TestOptimalProjection:
     def test_point_mass(self):
         spec = DomainSpec(d=3, k=1, r=2, G=1.0)
         dist = make_finite_support([(np.eye(3)[0], 1.0)], spec)
-        pi, best = optimal_projection(exact_moments(dist), 1)
+        pi, best = optimum(exact_moments(dist), 1)
         assert np.array_equal(pi.matrix, np.diag([1.0, 0.0, 0.0]))
         assert best == pytest.approx(0.0)
 
@@ -78,7 +83,7 @@ class TestOptimalProjection:
 
         dist = impossibility_fixture(4, 1.0, s=2)
         u = dist.points[0]
-        pi, best = optimal_projection(exact_moments(dist), 1)
+        pi, best = optimum(exact_moments(dist), 1)
         expected = np.outer(u, u) / float(u @ u)
         assert np.max(np.abs(pi.matrix - expected)) <= 1e-9
         assert best == pytest.approx(0.0, abs=1e-12)
@@ -87,7 +92,7 @@ class TestOptimalProjection:
         # for a diagonal C the optimum lies on a coordinate subset
         mom = exact_moments(dyadic_fixture(5, s=2, eps=0.2, c=4.0))
         for k in (1, 2):
-            _, best = optimal_projection(mom, k)
+            _, best = optimum(mom, k)
             brute = min(
                 loss(coordinate_projector(5, sub), mom)
                 for sub in itertools.combinations(range(5), k)
@@ -97,7 +102,7 @@ class TestOptimalProjection:
     def test_no_random_projector_beats_optimum(self):
         rng = make_rng(2)
         mom = exact_moments(dyadic_fixture(5, s=1, eps=0.2, c=4.0))
-        _, best = optimal_projection(mom, 2)
+        _, best = optimum(mom, 2)
         for _ in range(1000):
             pi = random_projector(rng, 5, 2)
             assert loss(pi, mom) >= best - 1e-9
@@ -106,9 +111,16 @@ class TestOptimalProjection:
 class TestExcessLoss:
     def test_optimal_has_zero_excess(self):
         mom = exact_moments(dyadic_fixture(4, s=1, eps=0.2, c=4.0))
-        pi, _ = optimal_projection(mom, 1)
+        pi, _ = optimum(mom, 1)
         report = excess_loss(pi, mom, 1)
         assert report.excess == 0.0
+
+    def test_projector_beating_the_optimum_is_inconsistent(self):
+        # a rank-2 projector scored as rank 1: loss 0 below the optimal 0.5
+        spec = DomainSpec(d=3, k=1, r=2, G=1.0)
+        mom = exact_moments(make_finite_support([(np.eye(3)[0], 0.5), (np.eye(3)[1], 0.5)], spec))
+        with pytest.raises(InvalidMatrix, match="inconsistent"):
+            excess_loss(coordinate_projector(3, [0, 1]), mom, 1)
 
     def test_missing_the_spike_pays_its_mass(self):
         mom = exact_moments(dyadic_fixture(4, s=1, eps=0.2, c=4.0))
@@ -154,7 +166,7 @@ class TestIdentifiedFraction:
 
     def test_optimal_projector_identifies_everything(self):
         fixture = self.make_fixture([1.0, 1.0])
-        pi, _ = optimal_projection(exact_moments(fixture), 2)
+        pi, _ = optimum(exact_moments(fixture), 2)
         assert identified_fraction(pi, fixture).beta == 1.0
 
     def test_theta_within_bounds(self):

@@ -31,6 +31,8 @@ from subspace_bandits.oracles import (
     default_coin_basis,
     dyadic_fixture,
     exact_moments,
+    impossibility_fixture,
+    load_distribution,
     make_finite_support,
     sample_instances,
     to_jsonable,
@@ -286,32 +288,30 @@ class TestCsv:
 
 class TestConfigParsing:
     def test_dist_refs(self):
-        domain = DomainSpec(d=6, k=2, r=2, G=1.0)
-        assert parse_dist_ref("dyadic:s=2,eps=0.1,c=4", domain).tag.startswith("dyadic")
-        assert parse_dist_ref("impossibility:s=1", domain).tag.startswith("impossibility")
-        assert parse_dist_ref("coin:alpha=0.4,b=+-", domain).coin is not None
-        assert parse_dist_ref("pointmass:coord=3", domain).points[0][3] == 1.0
+        assert parse_dist_ref("dyadic:s=2,eps=0.1,c=4", 6, 2, 1.0).tag.startswith("dyadic")
+        assert parse_dist_ref("impossibility:s=1", 6, 2, 1.0).tag.startswith("impossibility")
+        assert parse_dist_ref("coin:alpha=0.4,b=+-", 6, 2, 1.0).coin is not None
+        assert parse_dist_ref("pointmass:coord=3", 6, 2, 1.0).points[0][3] == 1.0
 
     def test_coin_signs_are_plus_and_minus_only(self):
-        domain = DomainSpec(d=4, k=2, r=2, G=1.0)
-        assert list(parse_dist_ref("coin:alpha=0.4,b=+-", domain).coin.signs) == [1, -1]
+        assert list(parse_dist_ref("coin:alpha=0.4,b=+-", 4, 2, 1.0).coin.signs) == [1, -1]
         with pytest.raises(ConfigError, match="'\\+x'"):
-            parse_dist_ref("coin:alpha=0.4,b=+x", domain)
+            parse_dist_ref("coin:alpha=0.4,b=+x", 4, 2, 1.0)
 
     @pytest.mark.parametrize("coord", [-1, 4, 9])
     def test_pointmass_coordinate_outside_the_domain(self, coord):
-        domain = DomainSpec(d=4, k=1, r=2, G=1.0)
         with pytest.raises(ConfigError, match="outside"):
-            parse_dist_ref(f"pointmass:coord={coord}", domain)
+            parse_dist_ref(f"pointmass:coord={coord}", 4, 1, 1.0)
 
     def test_dist_ref_errors(self):
-        domain = DomainSpec(d=6, k=2, r=2, G=1.0)
         with pytest.raises(ConfigError):
-            parse_dist_ref("dyadic:s=2", domain)  # missing eps
+            parse_dist_ref("dyadic:s=2", 6, 2, 1.0)  # missing eps
         with pytest.raises(ConfigError):
-            parse_dist_ref("mystery:x=1", domain)
+            parse_dist_ref("mystery:x=1", 6, 2, 1.0)
         with pytest.raises(ConfigError):
-            parse_dist_ref("dyadic:s=2,eps=0.1,extra=5", domain)
+            parse_dist_ref("dyadic:s=2,eps=0.1,extra=5", 6, 2, 1.0)
+        with pytest.raises(ConfigError, match="argument 'b' given twice"):
+            parse_dist_ref("coin:alpha=0.4,b=+-, b=++", 6, 2, 1.0)
 
     def test_config_document(self):
         cfg = config_from_dict(
@@ -431,26 +431,39 @@ class TestCli:
 
     def test_fixtures_subcommand(self, tmp_path):
         out = tmp_path / "imp.json"
-        code = cli_main(
-            ["fixtures", "impossibility", "--d", "4", "--G", "1", "--s", "1",
-             "--out", str(out)]
-        )
+        code = cli_main(["fixtures", "impossibility:s=1", "--d", "4", "--G", "1", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["d"] == 4 and len(doc["support"]) == 2
 
-    @pytest.mark.parametrize("argv,ref,domain", [
-        (["impossibility", "--d", "5", "--G", "1", "--s", "2"], "impossibility:s=2",
-         DomainSpec(d=5, k=1, r=2, G=1.0)),
-        (["dyadic", "--d", "6", "--s", "1", "--eps", "0.2", "--c", "3"],
-         "dyadic:s=1,eps=0.2,c=3", DomainSpec(d=6, k=1, r=2, G=1.0)),
-        (["coin", "--d", "8", "--k", "2", "--G", "2", "--alpha", "0.3", "--b", "+-"],
-         "coin:alpha=0.3,b=+-", DomainSpec(d=8, k=2, r=2, G=2.0)),
-    ], ids=["impossibility", "dyadic", "coin"])
-    def test_fixtures_json_matches_dist_ref(self, argv, ref, domain, capsys):
+    def test_fixtures_default_output_is_named_after_the_fixture(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["fixtures", "dyadic:s=1,eps=0.2", "--d", "6"]) == 0
+        assert load_distribution(tmp_path / "dyadic.json").tag.startswith("dyadic")
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["impossibility:s=2", "--d", "5", "--G", "1"], impossibility_fixture(5, 1.0, 2)),
+        (["dyadic:s=1,eps=0.2,c=3", "--d", "6"], dyadic_fixture(6, s=1, eps=0.2, c=3.0)),
+        (["coin:alpha=0.3,b=+-", "--d", "8", "--k", "2", "--G", "2"],
+         coin_fixture(8, 2, 2.0, 0.3, [1.0, -1.0], default_coin_basis(8, 2, 2.0))),
+        (["pointmass:coord=3", "--d", "4"], make_finite_support(
+            [(np.eye(4)[3], 1.0)], DomainSpec(d=4, k=1, r=2, G=1.0), tag="pointmass(coord=3)")),
+    ], ids=["impossibility", "dyadic", "coin", "pointmass"])
+    def test_fixtures_json_matches_the_fixture_builders(self, argv, expected, capsys):
         assert cli_main(["fixtures", *argv, "--out", "-"]) == 0
         printed = json.loads(capsys.readouterr().out)
-        assert printed == json.loads(json.dumps(to_jsonable(parse_dist_ref(ref, domain))))
+        assert printed == json.loads(json.dumps(to_jsonable(expected)))
+
+    @pytest.mark.parametrize("ref,unused", [
+        ("impossibility:s=1,eps=0.2,alpha=0.9", "['alpha', 'eps']"),
+        ("dyadic:s=1,eps=0.2,b=+", "['b']"),
+    ])
+    def test_fixtures_refuses_a_parameter_the_fixture_does_not_take(self, ref, unused, tmp_path,
+                                                                     capsys):
+        out = tmp_path / "f.json"
+        assert cli_main(["fixtures", ref, "--d", "4", "--out", str(out)]) == 2
+        assert f"unused distribution arguments {unused}" in capsys.readouterr().err
+        assert not out.exists()
 
     RUN_D4 = [
         "run", "--algo", "mbgd", "--d", "4", "--k", "1", "--r", "2", "--G", "1",
@@ -511,6 +524,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "m=10 repeats" in captured.err
         assert not out.exists()
+
+    def test_repeated_dist_argument_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = [*self.RUN_D4, "--dist", "dyadic:s=1,eps=0.1,s=2", "--out", str(out)]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "argument 's' given twice" in captured.err
+        assert not out.exists()
+
+    def test_overflowing_mbeg_step_size_fails_its_trials_not_the_run(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        argv = ["run", "--algo", "mbeg", "--d", "8", "--k", "1", "--r", "2", "--G", "1",
+                "--m", "600", "--trials", "2", "--seed", "1", "--dist", "dyadic:s=1,eps=0.25",
+                "--eta", "30", "--alpha", "0.5", "--out", str(out)]
+        with np.errstate(over="ignore"):
+            assert cli_main(argv) == 1
+        records = parse_csv(out)
+        assert [rec.trial for rec in records] == [0, 1]
+        assert all(np.isnan(rec.excess_loss) and np.isnan(rec.loss) for rec in records)
+        failed = [line for line in capsys.readouterr().err.splitlines() if " failed: " in line]
+        assert len(failed) == 2
+        assert all("InvalidMatrix" in line and "finite sum" in line for line in failed)
 
     @pytest.mark.parametrize("field", ["domain.d", "domain.k", "domain.r", "m_values", "trials",
                                        "base_seed"])
@@ -585,7 +621,7 @@ class TestCli:
         assert len(lines) == 3 and "nan" not in "".join(lines[1:])
 
     def test_fixtures_rejects_a_non_sign_character(self, capsys, tmp_path):
-        argv = ["fixtures", "coin", "--d", "4", "--k", "2", "--b", "+x"]
+        argv = ["fixtures", "coin:alpha=0.5,b=+x", "--d", "4", "--k", "2"]
         assert cli_main([*argv, "--out", "-"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -651,6 +687,7 @@ class TestCli:
                 "failure_fraction": 0.0,
                 "predicted_no_signal_probability": 0.9,
                 "threshold": 0.05,
+                "errors": [],
             }
 
         monkeypatch.setattr(harness, "dyadic_no_signal_demo", no_failures)
@@ -665,6 +702,31 @@ class TestLowerBoundDemos:
         summary = marginal_identity_check(d=4, G=1.0, mc_draws=2000, seed=seed)
         assert summary["exact_identical"] is True
         assert summary["mc_worst_deviation"] == scalar_marginal_mc_deviation(4, 1.0, 2000, seed)
+
+    def test_dyadic_demo_counts_and_reports_trials_that_raised(self, monkeypatch, capsys):
+        # a raised trial has NaN excess, which is not above eps: it must not pass as a failure
+        real_mbgd = harness.mbgd
+
+        def flaky(dist, cfg, return_trace=False):
+            if cfg.seed % 3 == 0:
+                raise SubspaceBanditError(f"injected failure at seed {cfg.seed}")
+            return real_mbgd(dist, cfg)
+
+        monkeypatch.setattr(harness, "mbgd", flaky)
+        m = harness.dyadic_demo_config().m_values[0]
+        raised = [t for t in range(40) if mix64(3, m, t) % 3 == 0]
+        assert raised  # the seeds do reach the injected failure
+        summary = harness.dyadic_no_signal_demo(trials=40, seed=3)
+        assert summary["errors"] == [
+            f"trial {t}: SubspaceBanditError: injected failure at seed {mix64(3, m, t)}"
+            for t in raised
+        ]
+        assert summary["failure_fraction"] <= 1 - len(raised) / 40
+        assert cli_main(["demo-lower-bounds", "--trials", "40", "--seed", "3"]) == 1
+        out = capsys.readouterr().out
+        assert f"trials that raised an error: {len(raised)}" in out
+        assert all(error in out for error in summary["errors"])
+        assert "verdict: UNEXPECTED" in out
 
 
 SRC = Path(harness.__file__).resolve().parents[1]

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 
 from subspace_bandits import learners
 from subspace_bandits.decomposition import decompose
-from subspace_bandits.domain import DomainSpec, check_hull_membership, validate_instance
+from subspace_bandits.domain import DomainSpec, check_hull_membership
 from subspace_bandits.errors import (
     AlphaTooLarge,
     BudgetNotTwo,
     EmptySample,
     InfeasibleK,
+    InvalidMatrix,
     NotInHull,
     OddBudget,
+    SubspaceBanditError,
 )
 from subspace_bandits.estimators import estimate_sym, split_halves
 from subspace_bandits.evaluation import identified_fraction
@@ -28,7 +30,6 @@ from subspace_bandits.learners import (
     mbeg_step_size,
     mbgd,
     mbgd_step_size,
-    simplex_project_scaled,
 )
 from subspace_bandits.oracles import (
     PartialObservation,
@@ -53,6 +54,7 @@ from util import (
     dense_mbeg_replay,
     entropic_objective,
     scalar_mbeg,
+    simplex_project_scaled,
 )
 
 
@@ -237,11 +239,12 @@ class TestEntropicProjection:
                     out = entropic_project(mu, k)
                     assert out.tobytes() == argsort_entropic_project(mu, k).tobytes(), (d, k, mu)
 
-    def test_requires_positive_spectrum(self):
-        with pytest.raises(ValueError):
-            entropic_project([1.0, 0.0], 1)
-        with pytest.raises(ValueError):
-            entropic_project([1.0, np.nan, 2.0], 2)
+    @pytest.mark.parametrize("mu,k", [([1.0, 0.0], 1), ([1.0, np.nan, 2.0], 2),
+                                      ([1e308, 1e308, 1.0], 1), ([np.inf, 1.0, 2.0], 1)])
+    def test_requires_positive_spectrum_with_a_finite_sum(self, mu, k):
+        # [1e308, 1e308, 1] sums to inf: scaling by k / inf once returned all zeros (trace 0)
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="finite sum"):
+            entropic_project(mu, k)
 
     def test_infeasible_k(self):
         with pytest.raises(InfeasibleK):
@@ -566,6 +569,15 @@ class TestMbeg:
         assert np.max(np.abs(trace.final_matrix - np.eye(4) / 4)) <= 1e-9
         assert np.trace(pi.matrix) == pytest.approx(1.0)
 
+    def test_overflowing_step_size_is_a_library_error(self):
+        # eta * v reaches ~3840 on the first informative step: exp overflows to inf
+        dist = dyadic_fixture(8, s=1, eps=0.25, c=4.0)
+        spec = DomainSpec(d=8, k=1, r=2, G=1.0)
+        cfg = LearnerConfig(spec=spec, m=600, seed=1, eta_override=30.0, alpha_override=0.5)
+        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="finite sum") as info:
+            mbeg(dist, cfg)
+        assert isinstance(info.value, SubspaceBanditError) and isinstance(info.value, ValueError)
+
     def test_iterates_stay_in_hull(self):
         dist = dyadic_fixture(6, s=0, eps=0.25, c=4.0)
         spec = DomainSpec(d=6, k=1, r=2, G=1.0)
@@ -721,15 +733,13 @@ class TestFullInfoPca:
         with pytest.raises(EmptySample):
             full_info_pca(np.zeros((0, 3)), 1)
 
-    def test_array_and_instance_list_give_the_same_projector(self):
-        spec = DomainSpec(d=8, k=2, r=2, G=1.0)
+    def test_array_and_vector_list_give_the_same_projector(self):
         dist = coin_fixture(8, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 1.0))
         xs = sample_instances(dist, 500, make_rng(33))
         from_array = full_info_pca(xs, 2)
-        for rows in ([validate_instance(x, spec) for x in xs], [x.copy() for x in xs]):
-            from_list = full_info_pca(rows, 2)
-            assert np.array_equal(from_list.matrix, from_array.matrix)
-            assert np.array_equal(from_list.basis, from_array.basis)
+        from_list = full_info_pca([x.copy() for x in xs], 2)
+        assert np.array_equal(from_list.matrix, from_array.matrix)
+        assert np.array_equal(from_list.basis, from_array.basis)
 
     def test_identifies_coin_biases_at_large_m(self):
         d, k, G, alpha = 6, 2, 1.0, 0.5

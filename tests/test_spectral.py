@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from subspace_bandits.errors import DimMismatch, InvalidMatrix
 from subspace_bandits.spectral import (
     frob_inner,
-    spectral_norm,
     sym_eig,
     sym_matrix,
 )
 
-from util import loop_sym_eig, random_orthonormal
+from util import loop_sym_eig, random_orthonormal, spectral_norm
 
 
 def rng_for(seed):

@@ -5,6 +5,8 @@ library code they check (exhaustive active-set enumeration instead of
 thresholding; scalar root bisection instead of cap counting or an exact
 breakpoint solve).  The scalar references at the end are earlier versions
 of vectorised library code, kept so tests can demand identical bytes.
+``simplex_project_scaled`` and ``spectral_norm`` were library functions that
+no learner calls; they live here as references.
 """
 
 import bisect
@@ -113,6 +115,30 @@ def bisection_capped_projection(lam, k, iters=200):
         else:
             hi = mid
     return np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def simplex_project_scaled(lam, k):
+    """Euclidean projection onto the scaled simplex {v >= 0, sum(v) = k}.
+
+    Threshold form: find the largest prefix size rho of the sorted values for
+    which the shifted value stays positive, set theta to the prefix mean
+    excess, and return max(lam - theta, 0).  No learner needs it: the tests
+    use it as the reference the capped-simplex projection meets when no cap binds.
+    """
+    v = np.asarray(lam, dtype=float)
+    sorted_desc = np.sort(v)[::-1]
+    cumsum = np.cumsum(sorted_desc)
+    js = np.arange(1, v.size + 1)
+    positive = sorted_desc - (cumsum - k) / js > 0
+    rho = int(js[positive][-1])
+    theta = (cumsum[rho - 1] - k) / rho
+    return np.maximum(v - theta, 0.0)
+
+
+def spectral_norm(m):
+    """Largest absolute eigenvalue of a symmetric matrix."""
+    vals = np.linalg.eigvalsh(sym_matrix(m))
+    return float(np.max(np.abs(vals)))
 
 
 def brute_force_scaled_simplex(lam, k):
