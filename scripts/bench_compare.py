@@ -9,10 +9,14 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
 
 * the median and quartiles of each metric, for both checkouts, the ratio of
   the medians and the number of seed pairs in which the change is better;
+* a ``REGRESSION`` for each end-to-end metric whose change median is worse
+  than the parent median by more than the metric's ``bound``;
 * the trial count of every run, and of every cell of it (parsed from the
   cell's ``finite excess`` check), flagging a ``mean excess`` cell above
   900 trials: ``bench/workloads.py::_binomial_tail`` overflows above 1,029
   trials in one cell;
+* each cell's median raw trial time, from the run's ``raw_trial_ms``: a
+  workload's median can fall between two cells of very different cost;
 * whether the two runs of each seed have the same digest, and whether every
   output check passed;
 
@@ -27,8 +31,9 @@ The table goes to stdout; ``--out`` also writes it as JSON.  The exit code
 is 1 when a run's ``meta.git_commit`` is not its checkout's HEAD (a stale
 file left by an earlier commit), when a (trace, workload, seed) has a run in
 one checkout only, when the seeds of a pair have different digests, when a
-check or a trial failed in either checkout, or when no workload has runs in
-both; a cell above 900 trials is only flagged.
+check or a trial failed in either checkout, when an end-to-end metric
+regressed beyond its bound, or when no workload has runs in both; a cell
+above 900 trials is only flagged.
 """
 
 from __future__ import annotations
@@ -121,6 +126,41 @@ def cell_trials(report: dict) -> dict:
     }
 
 
+def cell_trial_ms(report: dict) -> dict | None:
+    """{cell label: median raw trial ms} of one run; None if its trials do not split into cells.
+
+    Every unit runs the cells in order, each cell its own number of trials:
+    its finite-excess count divided by the run's units.  A run with failed
+    trials (left out of those counts) or without ``raw_trial_ms`` does not split.
+    """
+    raw, units = report["extras"].get("raw_trial_ms"), report["extras"].get("units")
+    cells = cell_trials(report)
+    if raw is None or not units or any(n % units for n in cells.values()):
+        return None
+    sizes = {cell: n // units for cell, n in cells.items()}
+    if len(raw) != units * sum(sizes.values()):
+        return None
+    times: dict = {cell: [] for cell in sizes}
+    at = 0
+    for _ in range(units):
+        for cell, size in sizes.items():
+            times[cell].extend(raw[at : at + size])
+            at += size
+    return {cell: statistics.median(ms) for cell, ms in times.items()}
+
+
+def regressions(name: str, metric: dict, bound) -> list[str]:
+    """A line if the change median is worse than the parent median by more than ``bound``."""
+    base, new = metric["parent"]["median"], metric["change"]["median"]
+    if bound is None or not base:
+        return []
+    worse = (base - new if metric["better"] == "higher" else new - base) / abs(base)
+    if worse <= bound:
+        return []
+    return [f"{name}: change median {new:.4g} is {worse:.1%} worse than the parent's "
+            f"{base:.4g} (bound {bound:.0%})"]
+
+
 def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
     """A line for every mean-excess cell of the run holding more than 900 trials."""
     checked = {
@@ -155,9 +195,14 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
             "ratio_of_medians": statistics.median(new) / base if base else None,
             "change_better_pairs": f"{better}/{len(seeds)}",
         }
+    out["regressions"] = [
+        line for metric in metrics if metric["name"] in out["metrics"]
+        for line in regressions(metric["name"], out["metrics"][metric["name"]], metric.get("bound"))
+    ]
     sides = (("parent", parent), ("change", change))
     out["trials"] = {side: [runs[s]["extras"]["trials"] for s in seeds] for side, runs in sides}
     out["cell_trials"] = {side: [cell_trials(runs[s]) for s in seeds] for side, runs in sides}
+    out["cell_trial_ms"] = {side: [cell_trial_ms(runs[s]) for s in seeds] for side, runs in sides}
     out["trial_count_flags"] = [
         flag for side, runs in sides for s in seeds for flag in trial_count_flags(side, s, runs[s])
     ]
@@ -176,6 +221,22 @@ def _ratio(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
+def _cell_time_lines(cell_ms: dict) -> list[str]:
+    """Per cell, the median over seeds of each side's per-run median raw trial ms."""
+    per_side = {
+        side: {cell: statistics.median(run[cell] for run in runs) for cell in runs[0]}
+        for side, runs in cell_ms.items() if runs and all(runs)
+    }
+    if len(per_side) != 2:
+        return []
+    parent, change = per_side["parent"], per_side["change"]
+    return [
+        f"  cell trial ms (raw median)  {cell}: parent {parent[cell]:.4g}  change "
+        f"{change[cell]:.4g}  ratio {_ratio(change[cell] / parent[cell] if parent[cell] else None)}"
+        for cell in parent if cell in change
+    ]
+
+
 def render(report: dict) -> str:
     lines = [f"machine: {json.dumps(report['machine'])}"]
     for view, _ in VIEWS:
@@ -192,6 +253,7 @@ def render(report: dict) -> str:
                 for cell, counts in per_cell.items():
                     lines.append(f"  cell trials  {side}  {cell}: {counts}")
             lines.extend(f"  FLAG {flag}" for flag in res["trial_count_flags"])
+            lines.extend(_cell_time_lines(res["cell_trial_ms"]))
             for name, m in res["metrics"].items():
                 p, c = m["parent"], m["change"]
                 line = (
@@ -203,6 +265,7 @@ def render(report: dict) -> str:
                     line += (f"  trials (median) parent {statistics.median(trials['parent']):g}"
                              f"  change {statistics.median(trials['change']):g}")
                 lines.append(line)
+            lines.extend(f"  REGRESSION {line}" for line in res["regressions"])
     return "\n".join(lines)
 
 
@@ -249,10 +312,12 @@ def main(argv=None) -> int:
     print(render(report))
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    # A long cell is only a printed FLAG; a changed digest or a failed check fails the comparison.
+    # A long cell is only a printed FLAG; a changed digest, a failed check or a
+    # regression beyond a bound fails the comparison.
     results = [res for by_workload in views.values() for res in by_workload.values()]
     broken = any(
-        not res["digests_equal"] or not all(res["checks_passed"].values()) for res in results
+        not res["digests_equal"] or not all(res["checks_passed"].values()) or res["regressions"]
+        for res in results
     )
     return 1 if broken else 0
 

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import attrgetter, index
@@ -65,6 +66,13 @@ from .seeding import make_rng, mix64
 ALGORITHMS = ("bandit-pca", "mbgd", "mbeg", "pca")
 
 
+def _check_fits(dist: DistributionSpec, domain: DomainSpec) -> None:
+    try:
+        validate_distribution(dist, domain)
+    except SubspaceBanditError as exc:
+        raise ConfigError(f"distribution incompatible with domain: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One sweep: domain, distribution, algorithm, budgets, trials, seeding."""
@@ -96,10 +104,7 @@ class ExperimentConfig:
             learner_configs = [LearnerConfig(self.domain, m, *overrides) for m in self.m_values]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        try:
-            validate_distribution(self.distribution, self.domain)
-        except SubspaceBanditError as exc:
-            raise ConfigError(f"distribution incompatible with domain: {exc}") from exc
+        _check_fits(self.distribution, self.domain)
         if self.algo in ("bandit-pca", "mbgd") and self.domain.r % 2 != 0:
             raise ConfigError(f"{self.algo} needs an even attribute budget, got r={self.domain.r}")
         if self.algo == "mbeg":
@@ -537,16 +542,29 @@ def _cmd_run(args) -> int:
     else:
         _write_csv(sys.stdout, records)
     for m in cfg.m_values:
-        cell = [rec.excess_loss for rec in records if rec.m == m]
-        print(f"m={m}: mean excess {math.fsum(cell) / len(cell):.4g} over {len(cell)} trials",
-              file=sys.stderr)
+        cell = [rec.excess_loss for rec in records if rec.m == m and rec.error is None]
+        lost = sum(rec.m == m for rec in failed)
+        line = (f"m={m}: mean excess {math.fsum(cell) / len(cell):.4g} over {len(cell)} trials"
+                if cell else f"m={m}: no trial finished")
+        if lost:
+            line += f", {lost} failed"
+        print(line, file=sys.stderr)
     for rec in failed:
         print(f"trial (m={rec.m}, trial={rec.trial}) failed: {rec.error}", file=sys.stderr)
     return 1 if failed else 0
 
 
 def _cmd_fixtures(args) -> int:
+    # The same domain check as run's; the attribute budget r plays no part in
+    # it, and a fixture has no sample size for DomainSpec's k <= sqrt(d) warning.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            domain = DomainSpec(args.d, args.k, 1, args.G)
+    except ValueError as exc:
+        raise ConfigError(f"fixture domain: {exc}") from exc
     dist = parse_dist_ref(args.ref, args.d, args.k, args.G)
+    _check_fits(dist, domain)
     out = args.out if args.out is not None else f"{args.ref.partition(':')[0]}.json"
     if out == "-":
         json.dump(to_jsonable(dist), sys.stdout, indent=2)

@@ -27,6 +27,7 @@ runs can execute concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +259,8 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     eigendecompose, project the spectrum onto the capped simplex, decompose
     the projected spectrum over W's eigenbasis into projectors, and sample
     one.  m = 0 degenerates to decomposing the initializer (k/d) I.
+    Every step draws its indices and its oracle uniform; a step whose
+    estimate is zero (a half that reads only zeros) skips building it.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
@@ -270,14 +273,20 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     shape = (cfg.m, spec.r)
     trace = LearnerTrace(np.empty(shape, np.intp), np.empty(shape)) if return_trace else None
 
+    half = spec.r // 2
     acc = np.zeros((spec.d, spec.d))
     for i in range(cfg.m):
         idx = draw_uniform_indices(spec.d, spec.r, rng)
         obs = observe(dist, idx, rng)
-        for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
-            acc[a, b] += v
-            if a != b:
-                acc[b, a] += v
+        # A half that reads only zeros makes x_hat or y_hat zero, so the
+        # estimate has no terms: only steps with a nonzero reading in each
+        # half build it.  Duplicate indices repeat one reading, so a nonzero
+        # reading always leaves its half-sum nonzero.
+        if obs.values[:half].any() and obs.values[half:].any():
+            for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
+                acc[a, b] += v
+                if a != b:
+                    acc[b, a] += v
         if trace is not None:
             trace.indices[i] = idx
             trace.values[i] = obs.values
@@ -338,6 +347,8 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     windows = [] if return_trace else None  # each mapped window's trace rows
 
     d, k = spec.d, spec.k
+    # exp of a larger eigenvalue could overflow, or d of them overflow their sum.
+    log_max = math.log(sys.float_info.max / d)
     w = np.full(d, k / d)      # iterate spectrum
     basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
     w_now = np.diag(w)         # the iterate V diag(w) V^T
@@ -387,6 +398,12 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
                 # projection maps tied values to tied values, so order is irrelevant.
                 vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+                if vals[-1] > log_max:
+                    raise InvalidMatrix(
+                        f"mbeg update at step {step} with eta={eta:.4g} overflows: eigenvalue "
+                        f"{vals[-1]:.6g} of log W + eta C_hat exceeds log(float max / d) = "
+                        f"{log_max:.6g}, so its exp has no finite sum"
+                    )
                 w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
                 w_now = (basis * w) @ basis.T
                 spectrum = w.tolist()

@@ -28,11 +28,12 @@ def bench_compare():
 
 
 def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True, cells=(),
-              peak_rss_mb=None, commit="unknown"):
+              peak_rss_mb=None, commit="unknown", units=None, raw_trial_ms=None):
     """One run's report; ``cells`` holds (label, trials, has a mean-excess check) per cell.
 
     ``commit`` is the run's ``meta.git_commit``: "unknown", as ``bench/run.py``
-    records it, for a checkout without a .git directory.
+    records it, for a checkout without a .git directory.  ``units`` and
+    ``raw_trial_ms`` are written to the extras when given.
     """
     out = checkout / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
@@ -54,6 +55,8 @@ def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=Tr
             "trial_ms_p50": {"value": 1000.0 / trials_per_s, "unit": "ms"},
         },
     }
+    if units is not None:
+        report["extras"].update(units=units, raw_trial_ms=raw_trial_ms)
     if peak_rss_mb is not None:
         report["metrics"]["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
     if trace:
@@ -214,3 +217,75 @@ def test_a_run_from_another_commit_fails_and_is_named(tmp_path, bench_compare, c
     err = capsys.readouterr().err
     stale = change / "bench" / "out" / "mbeg-d16-seed2-trace0.json"
     assert err == f"error: {stale}: run of commit {'9' * 40}, but the checkout is at {'b' * 40}\n"
+
+
+RSS_BENCHMARK = dict(BENCHMARK, end_to_end=BENCHMARK["end_to_end"] + [
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05}])
+
+
+@pytest.mark.parametrize("new_tps,new_rss,regressed", [
+    (8.0, 40.0, []),  # 20% fewer trials/s and 25% longer trials: within the 25% bounds
+    (7.0, 40.0, ["trials_per_s", "trial_ms_p50"]),  # 30% fewer trials/s, 43% longer trials
+    (10.0, 42.5, ["peak_rss_mb"]),  # 6.25% more RSS against a 5% bound
+    (12.0, 38.0, []),  # better everywhere
+], ids=["within-bounds", "slower", "larger", "better"])
+def test_an_end_to_end_metric_worse_than_its_bound_fails(tmp_path, bench_compare, capsys,
+                                                        new_tps, new_rss, regressed):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(RSS_BENCHMARK))
+    for seed in (1, 2, 3):
+        write_run(parent, "short-trials", seed, 10.0, "a", peak_rss_mb=40.0)
+        write_run(change, "short-trials", seed, new_tps, "a", peak_rss_mb=new_rss)
+        # traced runs carry no bound: a slower traced run is not a regression
+        write_run(parent, "short-trials", seed, 10.0, "a", trace=1)
+        write_run(change, "short-trials", seed, 1.0, "a", trace=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == (1 if regressed else 0)
+    found = json.loads(out.read_text())["end_to_end"]["short-trials"]["regressions"]
+    assert [line.split(":")[0] for line in found] == regressed
+    printed = [line.strip() for line in capsys.readouterr().out.splitlines()
+               if "REGRESSION" in line]
+    assert printed == [f"REGRESSION {line}" for line in found]
+    if regressed == ["peak_rss_mb"]:
+        assert found == ["peak_rss_mb: change median 42.5 is 6.2% worse than the parent's 40 "
+                         "(bound 5%)"]
+
+
+def test_reports_each_cells_median_trial_time(tmp_path, bench_compare, capsys):
+    # Two units of two cells, two trials per cell per unit: the whole run's
+    # median falls between the cells, each cell's median is its own.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    cells = [("mbgd r=2", 4, True), ("bandit-pca r=2", 4, True)]
+    write_run(parent, "split-half", 1, 5.0, "a", cells=cells, units=2,
+              raw_trial_ms=[100.0, 110.0, 1.0, 2.0, 120.0, 130.0, 3.0, 4.0])
+    write_run(change, "split-half", 1, 5.0, "a", cells=cells, units=2,
+              raw_trial_ms=[80.0, 70.0, 1.0, 2.0, 90.0, 60.0, 3.0, 4.0])
+    write_run(parent, "split-half", 2, 5.0, "a", cells=cells, units=2,
+              raw_trial_ms=[200.0, 210.0, 5.0, 6.0, 220.0, 230.0, 7.0, 8.0])
+    write_run(change, "split-half", 2, 5.0, "a", cells=cells, units=2,
+              raw_trial_ms=[150.0, 160.0, 5.0, 6.0, 170.0, 180.0, 7.0, 8.0])
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["end_to_end"]["split-half"]
+    assert res["cell_trial_ms"]["parent"] == [
+        {"mbgd r=2": 115.0, "bandit-pca r=2": 2.5}, {"mbgd r=2": 215.0, "bandit-pca r=2": 6.5}]
+    assert res["cell_trial_ms"]["change"][0] == {"mbgd r=2": 75.0, "bandit-pca r=2": 2.5}
+    printed = capsys.readouterr().out
+    assert "cell trial ms (raw median)  mbgd r=2: parent 165  change 120  ratio 0.727" in printed
+    assert "cell trial ms (raw median)  bandit-pca r=2: parent 4.5  change 4.5  ratio 1.000" \
+        in printed
+
+
+@pytest.mark.parametrize("cells,units,raw", [
+    ([("mbgd r=2", 3, True)], 2, [1.0, 2.0, 3.0]),  # a failed trial left 3 of 4 in the count
+    ([("mbgd r=2", 4, True)], 2, [1.0, 2.0, 3.0]),  # times of fewer trials than counted
+    ([("mbgd r=2", 4, True)], None, None),  # a run made before raw_trial_ms was written
+], ids=["uneven-cell", "short-times", "no-times"])
+def test_a_run_whose_trials_do_not_split_into_cells_has_no_cell_times(tmp_path, bench_compare,
+                                                                      cells, units, raw):
+    write_run(tmp_path, "split-half", 1, 5.0, "a", cells=cells, units=units, raw_trial_ms=raw)
+    report = json.loads((tmp_path / "bench" / "out" / "split-half-seed1-trace0.json").read_text())
+    assert bench_compare.cell_trial_ms(report) is None

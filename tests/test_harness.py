@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import subspace_bandits.harness as harness
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import ConfigError, SubspaceBanditError
+from subspace_bandits.errors import ConfigError, NotInHull, SubspaceBanditError
 from subspace_bandits.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -548,6 +549,50 @@ class TestCli:
         assert len(failed) == 2
         assert all("InvalidMatrix" in line and "finite sum" in line for line in failed)
 
+    def test_overflowing_mbeg_step_is_refused_before_exp_warns(self, capsys):
+        # an overflowing update is refused before its exp: turned into
+        # errors, numpy's overflow warnings would abort the run itself
+        argv = ["run", "--algo", "mbeg", "--d", "8", "--k", "1", "--r", "2", "--G", "1",
+                "--m", "800", "--trials", "3", "--seed", "1", "--dist", "dyadic:s=0,eps=0.25",
+                "--eta", "30", "--alpha", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        failed = [line for line in err if " failed: " in line]
+        assert len(failed) == 3
+        assert all("InvalidMatrix: mbeg update at step " in line and "eta=30 overflows" in line
+                   for line in failed)
+        assert err[0] == "m=800: no trial finished, 3 failed"
+
+    def test_summary_averages_the_finished_trials_and_counts_the_failed(self, monkeypatch,
+                                                                       tmp_path, capsys):
+        calls = []
+
+        def failing_every_third(dist, lcfg):
+            calls.append(lcfg.m)
+            if len(calls) % 3 == 2:
+                raise NotInHull("injected")
+            return mbgd(dist, lcfg)
+
+        monkeypatch.setattr(harness, "mbgd", failing_every_third)
+        argv = ["run", "--algo", "mbgd", "--d", "6", "--k", "1", "--r", "2", "--G", "1",
+                "--m", "400", "20", "--trials", "3", "--seed", "5",
+                "--dist", "dyadic:s=2,eps=0.25,c=4"]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        stdout_csv = tmp_path / "stdout.csv"
+        stdout_csv.write_text(captured.out)
+        records = parse_csv(stdout_csv)
+        means = {}
+        for m in (400, 20):
+            finished = [r.excess_loss for r in records if r.m == m and not math.isnan(r.excess_loss)]
+            assert len(finished) == 2
+            means[m] = math.fsum(finished) / 2
+        assert captured.err.splitlines()[:2] == [
+            f"m={m}: mean excess {mean:.4g} over 2 trials, 1 failed" for m, mean in means.items()
+        ]
+
     @pytest.mark.parametrize("field", ["domain.d", "domain.k", "domain.r", "m_values", "trials",
                                        "base_seed"])
     def test_boolean_config_field_exits_2_and_names_it(self, field, tmp_path, capsys):
@@ -619,6 +664,38 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3 and "nan" not in "".join(lines[1:])
+
+    @pytest.mark.parametrize("argv,why", [
+        (["dyadic:s=1,eps=0.2", "--d", "6", "--G", "0.5", "--k", "9"],
+         "fixture domain: k must satisfy 1 <= k < d, got k=9, d=6"),
+        (["dyadic:s=1,eps=0.2", "--d", "6", "--G", "0.5"],
+         "distribution incompatible with domain: squared norm 1 exceeds G=0.5"),
+    ], ids=["k-not-below-d", "norm-above-G"])
+    def test_fixtures_refuses_a_fixture_outside_its_domain(self, argv, why, capsys, tmp_path):
+        assert cli_main(["fixtures", *argv, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {why}\n"
+        out = tmp_path / "f.json"
+        assert cli_main(["fixtures", *argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        # the same reference inside its domain is written
+        assert cli_main(["fixtures", "dyadic:s=1,eps=0.2", "--d", "6", "--out", str(out)]) == 0
+        assert load_distribution(out).d == 6
+
+    def test_fixtures_does_not_warn_about_sample_sizes(self, capsys):
+        # k=3 > sqrt(8) draws DomainSpec's sample-size warning, which a fixture has no use for
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["fixtures", "coin:alpha=0.3", "--d", "8", "--k", "3", "--G", "2",
+                             "--out", "-"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_fixtures_refuses_a_fixture_file_of_another_dimension(self, capsys, tmp_path):
+        src = tmp_path / "d4.json"
+        assert cli_main(["fixtures", "impossibility:s=1", "--d", "4", "--out", str(src)]) == 0
+        capsys.readouterr()
+        assert cli_main(["fixtures", str(src), "--d", "5", "--out", "-"]) == 2
+        assert "distribution dimension 4 != domain dimension 5" in capsys.readouterr().err
 
     def test_fixtures_rejects_a_non_sign_character(self, capsys, tmp_path):
         argv = ["fixtures", "coin:alpha=0.5,b=+x", "--d", "4", "--k", "2"]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_bandits import learners
+from subspace_bandits import harness, learners
 from subspace_bandits.decomposition import decompose
 from subspace_bandits.domain import DomainSpec, check_hull_membership
 from subspace_bandits.errors import (
@@ -301,6 +301,11 @@ def point_mass(d, coord=0):
     return make_finite_support([(x, 1.0)], spec, tag="pointmass"), spec
 
 
+def hadamard_coin():
+    """The coin on the Hadamard basis at d=8, k=2, G=2: every coordinate of a row is nonzero."""
+    return coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+
+
 class TestBanditPca:
     def test_recovers_point_mass_direction(self):
         dist, spec = point_mass(2)
@@ -340,7 +345,7 @@ class TestBanditPca:
     def test_matches_the_scalar_steps_on_its_stream(self, r, m):
         # Hadamard-basis coin: dense support points, a clear top-2 subspace.
         spec = DomainSpec(d=8, k=2, r=r, G=2.0)
-        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        dist = hadamard_coin()
         cfg = LearnerConfig(spec=spec, m=m, seed=40 + r)
         pi, trace = bandit_pca(dist, cfg, return_trace=True)
 
@@ -366,6 +371,32 @@ class TestBanditPca:
         assert trace.indices.shape == trace.values.shape == (m, r)
 
 
+def steps_with_two_nonzero_halves(values) -> int:
+    """Trace rows whose first and second r/2 readings each hold a nonzero value."""
+    half = values.shape[1] // 2
+    return int(np.count_nonzero(values[:, :half].any(axis=1) & values[:, half:].any(axis=1)))
+
+
+def count_estimate_sym_calls(monkeypatch) -> list:
+    calls = [0]
+    real = learners.estimate_sym
+
+    def counting(halves):
+        calls[0] += 1
+        return real(halves)
+
+    monkeypatch.setattr(learners, "estimate_sym", counting)
+    return calls
+
+
+MBGD_CASES = [
+    (dyadic_fixture(5, s=1, eps=0.2, c=4.0), DomainSpec(d=5, k=1, r=2, G=1.0)),
+    (dyadic_fixture(5, s=1, eps=0.2, c=4.0), DomainSpec(d=5, k=1, r=4, G=1.0)),
+    (hadamard_coin(), DomainSpec(d=8, k=2, r=4, G=2.0)),
+]
+MBGD_CASE_IDS = ["dyadic-r2", "dyadic-r4", "coin-r4"]
+
+
 class TestMbgd:
     def test_m_zero_round_trips_initializer(self):
         dist, spec = point_mass(4)
@@ -382,23 +413,54 @@ class TestMbgd:
         assert np.array_equal(trace.pre_projection_matrix, np.eye(4) / 4)
         assert np.trace(pi.matrix) == pytest.approx(1.0)
 
-    def test_lazy_iterate_identity(self):
+    @pytest.mark.parametrize("dist,spec", [MBGD_CASES[0], MBGD_CASES[2]],
+                             ids=[MBGD_CASE_IDS[0], MBGD_CASE_IDS[2]])
+    def test_lazy_iterate_identity(self, dist, spec):
         # W_end must equal the initializer plus eta times the estimates
-        # rebuilt from the traced coordinates and readings, bit for bit
-        spec = DomainSpec(d=5, k=1, r=2, G=1.0)
-        dist = dyadic_fixture(5, s=1, eps=0.2, c=4.0)
+        # rebuilt from the traced coordinates and readings of every step, bit
+        # for bit; at r=4 the rows repeat indices within a half
         cfg = LearnerConfig(spec=spec, m=300, seed=7)
         _, trace = mbgd(dist, cfg, return_trace=True)
         eta = mbgd_step_size(spec, cfg.m)
-        acc = np.zeros((5, 5))
+        acc = np.zeros((spec.d, spec.d))
         for idx, values in zip(trace.indices.tolist(), trace.values):
             obs = PartialObservation(tuple(idx), values)
             for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
                 acc[a, b] += v
                 if a != b:
                     acc[b, a] += v
-        recomputed = (1 / 5) * np.eye(5) + eta * acc
+        recomputed = (spec.k / spec.d) * np.eye(spec.d) + eta * acc
         assert np.array_equal(recomputed, trace.pre_projection_matrix)
+
+    @pytest.mark.parametrize("dist,spec", MBGD_CASES, ids=MBGD_CASE_IDS)
+    def test_builds_the_estimate_only_when_both_halves_read_nonzero(self, monkeypatch, dist,
+                                                                     spec):
+        calls = count_estimate_sym_calls(monkeypatch)
+        m, both, rows = 300, 0, 0
+        for seed in range(5):
+            _, trace = mbgd(dist, LearnerConfig(spec=spec, m=m, seed=seed), return_trace=True)
+            both += steps_with_two_nonzero_halves(trace.values)
+            rows += trace.values.shape[0]
+        assert rows == 5 * m and 0 < calls[0] == both
+        # the coin reads no zero, so none of its steps skips; the dyadic fixture mostly does
+        assert (both == rows) if spec.d == 8 else (both < rows)
+
+    def test_demo_trials_build_the_estimate_only_when_both_halves_read_nonzero(self,
+                                                                               monkeypatch):
+        cfg = harness.dyadic_demo_config()
+        calls = count_estimate_sym_calls(monkeypatch)
+        readings = []
+
+        def traced_mbgd(dist, lcfg):
+            pi, trace = mbgd(dist, lcfg, return_trace=True)
+            readings.append(trace.values)
+            return pi
+
+        monkeypatch.setattr(harness, "mbgd", traced_mbgd)
+        for t in range(100):
+            assert harness.run_trial(cfg, cfg.m_values[0], t).error is None
+        both = sum(map(steps_with_two_nonzero_halves, readings))
+        assert len(readings) == 100 and 0 < calls[0] == both < 100 * cfg.m_values[0]
 
     def test_final_matrix_in_hull(self):
         dist = dyadic_fixture(6, s=2, eps=0.25, c=4.0)
@@ -420,7 +482,7 @@ class TestMbgd:
 
         monkeypatch.setattr(learners, "decompose", recording)
         spec = DomainSpec(d=8, k=2, r=r, G=2.0)
-        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        dist = hadamard_coin()
         for seed in range(20):
             mbgd(dist, LearnerConfig(spec=spec, m=200, seed=seed))
         assert len(handed) == 20
@@ -453,7 +515,7 @@ def half_zero_hadamard_coin():
     interleave at rate 1/2.
     """
     spec = DomainSpec(d=8, k=2, r=2, G=2.0)
-    coin = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+    coin = hadamard_coin()
     support = [(np.zeros(8), 0.5)] + [(x, 0.5 * p) for x, p in zip(coin.points, coin.probs)]
     return make_finite_support(support, spec, tag="half-zero-hadamard-coin")
 
@@ -466,7 +528,7 @@ DEFAULT_BUDGET_FIXTURES = [
     ),
     (
         DomainSpec(d=8, k=2, r=2, G=2.0),
-        coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0)),
+        hadamard_coin(),
     ),
     (DomainSpec(d=8, k=2, r=2, G=2.0), half_zero_hadamard_coin()),
     (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.05, c=4.0)),
@@ -577,6 +639,8 @@ class TestMbeg:
         with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="finite sum") as info:
             mbeg(dist, cfg)
         assert isinstance(info.value, SubspaceBanditError) and isinstance(info.value, ValueError)
+        # refused before its exp, naming the step and the step size
+        assert "mbeg update at step " in str(info.value) and "eta=30 overflows" in str(info.value)
 
     def test_iterates_stay_in_hull(self):
         dist = dyadic_fixture(6, s=0, eps=0.25, c=4.0)
@@ -657,7 +721,7 @@ class TestMbeg:
         assert_same_as_scalar_loop(monkeypatch, dist, cfg)
 
     def test_matches_scalar_loop_when_the_first_step_updates(self, monkeypatch):
-        dist = coin_fixture(8, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(8, 2, 2.0))
+        dist = hadamard_coin()
         spec = DomainSpec(d=8, k=2, r=2, G=2.0)
         cfg = LearnerConfig(spec=spec, m=300, seed=22)
         trace = assert_same_as_scalar_loop(monkeypatch, dist, cfg)
