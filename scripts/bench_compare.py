@@ -19,15 +19,20 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
   workload's median can fall between two cells of very different cost;
 * whether the two runs of each seed have the same digest, and whether every
   output check passed;
+* each run's mean calibration time ``calib_ms``, the vCPU speed it was
+  scaled by;
 
 and once, the machine the runs came from (the metadata of the change's runs).
 
 Usage:
 
     python scripts/bench_compare.py PARENT_CHECKOUT CHANGE_CHECKOUT \\
-        [--out BENCH_n.json] [--parent-label REV] [--change-label REV]
+        [--out BENCH_n.json] [--parent-label REV] [--change-label REV] \\
+        [--attach MEASUREMENTS.json]
 
-The table goes to stdout; ``--out`` also writes it as JSON.  The exit code
+The table goes to stdout; ``--out`` also writes it as JSON, with the JSON
+object of ``--attach`` (measurements made outside ``bench/run.py``, such as
+raw trial times) under the key ``attached``.  The exit code
 is 1 when a run's ``meta.git_commit`` is not its checkout's HEAD (a stale
 file left by an earlier commit), when a (trace, workload, seed) has a run in
 one checkout only, when the seeds of a pair have different digests, when a
@@ -201,6 +206,9 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
     ]
     sides = (("parent", parent), ("change", change))
     out["trials"] = {side: [runs[s]["extras"]["trials"] for s in seeds] for side, runs in sides}
+    out["calib_ms"] = {
+        side: [runs[s]["extras"].get("calib_ms") for s in seeds] for side, runs in sides
+    }
     out["cell_trials"] = {side: [cell_trials(runs[s]) for s in seeds] for side, runs in sides}
     out["cell_trial_ms"] = {side: [cell_trial_ms(runs[s]) for s in seeds] for side, runs in sides}
     out["trial_count_flags"] = [
@@ -245,6 +253,9 @@ def render(report: dict) -> str:
                          f"{res['digests_equal']}  checks passed: {res['checks_passed']}")
             trials = res["trials"]
             lines.append(f"  trials  parent {trials['parent']}  change {trials['change']}")
+            calib = {side: [f"{ms:.4g}" if ms is not None else "n/a" for ms in values]
+                     for side, values in res["calib_ms"].items()}
+            lines.append(f"  calib_ms  parent {calib['parent']}  change {calib['change']}")
             for side in ("parent", "change"):
                 per_cell = {}
                 for run in res["cell_trials"][side]:
@@ -276,6 +287,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, help="also write the comparison as JSON here")
     ap.add_argument("--parent-label", default=None, help="revision of the parent, for the JSON")
     ap.add_argument("--change-label", default=None, help="revision of the change, for the JSON")
+    ap.add_argument("--attach", type=Path, help="JSON object stored under 'attached' in --out")
     args = ap.parse_args(argv)
 
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -309,6 +321,8 @@ def main(argv=None) -> int:
         "machine": {key: meta.get(key) for key in MACHINE_KEYS},
         **views,
     }
+    if args.attach:
+        report["attached"] = json.loads(args.attach.read_text())
     print(render(report))
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")

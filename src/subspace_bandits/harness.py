@@ -117,7 +117,7 @@ class ExperimentConfig:
                     raise ConfigError(f"mbeg: {exc}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     algo: str
     d: int

@@ -321,8 +321,12 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     forms the importance-weighted estimate, applies the multiplicative update
     U = exp(log W + eta C_hat) and projects U's spectrum back onto the capped
     simplex in relative entropy.  A zero estimate makes that update the
-    identity, so such steps skip it and keep the iterate.  The returned
-    projector is sampled from the decomposition of the iterate average.
+    identity, so such steps skip it and keep the iterate.  A diagonal pair
+    (s, s) whose row s of the eigenbasis has exactly one nonzero entry j
+    touches only eigenvector j, so its update adds eta C_hat_ss V_sj^2 to
+    log w_j and keeps the basis; every other update re-diagonalises
+    log W + eta C_hat.  The returned projector is sampled from the
+    decomposition of the iterate average.
 
     Every step takes four uniforms from the stream: branch, s and q for the
     pair, then the oracle's.  They are drawn in blocks of up to
@@ -391,13 +395,24 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 v = float(prod[n - 1] / (p_j if s_j == q_j else 2 * p_j))
                 w_bar += held * w_now
                 held = 0
-                m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-                m_update[s_j, q_j] += eta * v
-                if s_j != q_j:
-                    m_update[q_j, s_j] += eta * v
-                # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
-                # projection maps tied values to tied values, so order is irrelevant.
-                vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+                log_w = np.log(np.maximum(w, LOG_FLOOR))
+                support = np.flatnonzero(basis[s_j]) if s_j == q_j else ()
+                if len(support) == 1:
+                    # Row s of V is V_sj e_j^T, so e_s = V_sj V e_j and
+                    # eta v e_s e_s^T = V (eta v V_sj^2 e_j e_j^T) V^T: the update shifts
+                    # eigenvalue j and keeps the basis, re-sorted ascending as eigh orders it.
+                    j = int(support[0])
+                    log_w[j] += eta * v * basis[s_j, j] ** 2
+                    order = np.argsort(log_w, kind="stable")
+                    vals, basis = log_w[order], basis[:, order]
+                else:
+                    m_update = (basis * log_w) @ basis.T
+                    m_update[s_j, q_j] += eta * v
+                    if s_j != q_j:
+                        m_update[q_j, s_j] += eta * v
+                    # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
+                    # projection maps tied values to tied values, so order is irrelevant.
+                    vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
                 if vals[-1] > log_max:
                     raise InvalidMatrix(
                         f"mbeg update at step {step} with eta={eta:.4g} overflows: eigenvalue "

@@ -28,12 +28,12 @@ def bench_compare():
 
 
 def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=True, cells=(),
-              peak_rss_mb=None, commit="unknown", units=None, raw_trial_ms=None):
+              peak_rss_mb=None, commit="unknown", units=None, raw_trial_ms=None, calib_ms=None):
     """One run's report; ``cells`` holds (label, trials, has a mean-excess check) per cell.
 
     ``commit`` is the run's ``meta.git_commit``: "unknown", as ``bench/run.py``
-    records it, for a checkout without a .git directory.  ``units`` and
-    ``raw_trial_ms`` are written to the extras when given.
+    records it, for a checkout without a .git directory.  ``units``,
+    ``raw_trial_ms`` and ``calib_ms`` are written to the extras when given.
     """
     out = checkout / "bench" / "out"
     out.mkdir(parents=True, exist_ok=True)
@@ -57,6 +57,8 @@ def write_run(checkout, workload, seed, trials_per_s, digest, trace=0, passed=Tr
     }
     if units is not None:
         report["extras"].update(units=units, raw_trial_ms=raw_trial_ms)
+    if calib_ms is not None:
+        report["extras"]["calib_ms"] = calib_ms
     if peak_rss_mb is not None:
         report["metrics"]["peak_rss_mb"] = {"value": peak_rss_mb, "unit": "MB"}
     if trace:
@@ -124,6 +126,30 @@ def test_each_fault_alone_fails_the_comparison(tmp_path, bench_compare, parent_r
     write_run(parent, "split-half", 1, 5.0, "cccc")  # a clean workload does not mask it
     write_run(change, "split-half", 1, 5.0, "cccc")
     assert bench_compare.main([str(parent), str(change)]) == 1
+
+
+def test_records_calibration_times_and_attached_measurements(tmp_path, bench_compare, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    write_run(parent, "mbeg-d16", 1, 5.0, "aaaa", calib_ms=0.61)
+    write_run(change, "mbeg-d16", 1, 6.0, "aaaa", calib_ms=0.58)
+    write_run(parent, "mbeg-d16", 2, 5.0, "bbbb")  # a run that recorded none reads n/a
+    write_run(change, "mbeg-d16", 2, 6.0, "bbbb")
+    raw = {"raw_trial_s": {"d=64": {"parent": [4.4], "change": [1.6]}}}
+    (tmp_path / "raw.json").write_text(json.dumps(raw))
+    out = tmp_path / "BENCH.json"
+
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 0
+    assert "attached" not in json.loads(out.read_text())
+    argv = [str(parent), str(change), "--out", str(out), "--attach", str(tmp_path / "raw.json")]
+    assert bench_compare.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["end_to_end"]["mbeg-d16"]["calib_ms"] == {
+        "parent": [0.61, None], "change": [0.58, None]
+    }
+    assert report["attached"] == raw
+    assert "calib_ms  parent ['0.61', 'n/a']  change ['0.58', 'n/a']" in capsys.readouterr().out
 
 
 def test_no_common_workload_is_an_error(tmp_path, bench_compare):

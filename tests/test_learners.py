@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -532,6 +534,7 @@ DEFAULT_BUDGET_FIXTURES = [
     ),
     (DomainSpec(d=8, k=2, r=2, G=2.0), half_zero_hadamard_coin()),
     (DomainSpec(d=16, k=1, r=2, G=1.0), dyadic_fixture(16, s=1, eps=0.05, c=4.0)),
+    (DomainSpec(d=32, k=1, r=2, G=1.0), dyadic_fixture(32, s=1, eps=0.25, c=4.0)),
 ]
 DEFAULT_BUDGET_IDS = [
     "dyadic-d16-k1",
@@ -539,6 +542,7 @@ DEFAULT_BUDGET_IDS = [
     "hadamard-coin-d8-k2",
     "half-zero-hadamard-coin-d8-k2",
     "dyadic-d16-k1-eps0.05",
+    "dyadic-d32-k1",
 ]
 
 
@@ -665,17 +669,47 @@ class TestMbeg:
         # a single-pair estimate's spectral norm is the magnitude of its one entry
         assert np.abs(trace.estimate).max() <= 1 / eta + 1e-9
 
-    def test_eigh_runs_only_on_nonzero_estimates(self, linalg_calls):
-        # Count the eigh calls made by the step loop itself, not those of the
-        # final decomposition.
+    def test_eigh_runs_only_on_nonzero_estimates(self, monkeypatch):
+        # The step loop runs one eigh per informative step that is not a
+        # shift: a pair (s, s) whose basis row s has one nonzero entry only
+        # shifts an eigenvalue.  A shift permutes the basis columns, which
+        # keeps every row's nonzero count, so the support to test is that of
+        # the last eigh's basis (I before the first).
+        real = np.linalg.eigh
+        loop_bases = []
+
+        def recording(a):
+            vals, vecs = real(a)
+            if sys._getframe(1).f_code is mbeg.__code__:
+                loop_bases.append(vecs)
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
         dist = half_zero_hadamard_coin()
         spec = DomainSpec(d=8, k=2, r=2, G=2.0)
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = mbeg(dist, cfg, return_trace=True)
-        informative = np.count_nonzero(trace.estimate)
-        assert 0 < informative < cfg.m
-        loop_calls = [name for name, code in linalg_calls if code is mbeg.__code__]
-        assert loop_calls == ["eigh"] * informative
+        informative = np.flatnonzero(trace.estimate)
+        assert 0 < informative.size < cfg.m
+        basis, shifts, updates = np.eye(spec.d), 0, iter(loop_bases)
+        for s, q in trace.indices[informative].tolist():
+            if s == q and np.count_nonzero(basis[s]) == 1:
+                shifts += 1
+            else:
+                basis = next(updates)
+        assert 0 < shifts < informative.size
+        assert len(loop_bases) == informative.size - shifts
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_axis_aligned_updates_run_no_eigh(self, linalg_calls, d):
+        # Every informative pair of a dyadic fixture is (s, s), and shifts
+        # keep the basis a signed permutation: no update re-diagonalises.
+        dist = dyadic_fixture(d, s=1, eps=0.25, c=4.0)
+        spec = DomainSpec(d=d, k=1, r=2, G=1.0)
+        cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
+        _, trace = mbeg(dist, cfg, return_trace=True)
+        assert np.count_nonzero(trace.estimate) > 0
+        assert [name for name, code in linalg_calls if code is mbeg.__code__] == []
 
     def test_rounding_eigendecomposes_the_average_once(self, linalg_calls):
         # After the step loop, one sym_eig of the iterate average serves both
@@ -767,10 +801,11 @@ class TestMbeg:
 
     @pytest.mark.parametrize("spec, dist", DEFAULT_BUDGET_FIXTURES, ids=DEFAULT_BUDGET_IDS)
     def test_matches_dense_reference_at_default_budget(self, spec, dist):
-        # The raw-eigh step loop against sym_eig + the pair table, step by step;
-        # the replay runs the dense update on zero-estimate steps too, where
-        # the loop keeps its iterate.  The axis-aligned fixtures only ever
-        # update diagonal cells, so every iterate stays diagonal; the
+        # The step loop against sym_eig + the pair table, step by step; the
+        # replay runs the dense update on zero-estimate steps too, where the
+        # loop keeps its iterate.  The axis-aligned fixtures only ever update
+        # diagonal cells, so every iterate stays diagonal and every loop
+        # update is an eigenvalue shift, checked here against eigh; the
         # Hadamard-basis coins (G > 1) update off-diagonal cells and rotate
         # the eigenbasis, and with half the mass on the zero vector the
         # rotated basis is carried across skipped steps.

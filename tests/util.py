@@ -385,11 +385,20 @@ def scalar_mbeg(dist, cfg, return_trace=False):
         if v != 0.0:
             w_bar += held * w_now
             held = 0
-            m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-            m_update[s, q] += eta * v
-            if s != q:
-                m_update[q, s] += eta * v
-            vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
+            log_w = np.log(np.maximum(w, LOG_FLOOR))
+            support = [j for j in range(d) if basis[s, j] != 0.0] if s == q else []
+            if len(support) == 1:
+                # (s, s) on a row with one nonzero entry j: shift eigenvalue j
+                j = support[0]
+                log_w[j] += eta * v * basis[s, j] ** 2
+                order = np.argsort(log_w, kind="stable")
+                vals, basis = log_w[order], basis[:, order]
+            else:
+                m_update = (basis * log_w) @ basis.T
+                m_update[s, q] += eta * v
+                if s != q:
+                    m_update[q, s] += eta * v
+                vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
             w = learners.entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
             w_now, sampler, stats = _scalar_mbeg_iterate(w, basis, alpha, k)
 
