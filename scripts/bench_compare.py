@@ -15,6 +15,10 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
   cell's ``finite excess`` check), flagging a ``mean excess`` cell above
   900 trials: ``bench/workloads.py::_binomial_tail`` overflows above 1,029
   trials in one cell;
+* for every ``mean excess`` cell of every run, the calibration time at which
+  that run would have reached 1,030 trials of the cell,
+  ``calib_ms * trials / 1030``: a run's trial count scales as 1 / calib_ms,
+  so a vCPU that calibrates below it would crash the check;
 * each cell's median raw trial time, from the run's ``raw_trial_ms``: a
   workload's median can fall between two cells of very different cost;
 * whether the two runs of each seed have the same digest, and whether every
@@ -55,6 +59,7 @@ VIEWS = (("end_to_end", 0), ("per_layer", 1))  # BENCHMARK.json metric list, --t
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
 FINITE_CHECK, MEAN_EXCESS_CHECK = ": finite excess", ": mean excess"  # check name suffixes
 MAX_MEAN_EXCESS_TRIALS = 900  # the binomial tail of a mean-excess check overflows above 1,029
+OVERFLOW_TRIALS = 1030  # the fewest trials whose mean-excess tail overflows
 
 
 class UnusableRuns(Exception):
@@ -166,19 +171,36 @@ def regressions(name: str, metric: dict, bound) -> list[str]:
             f"{base:.4g} (bound {bound:.0%})"]
 
 
-def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
-    """A line for every mean-excess cell of the run holding more than 900 trials."""
+def mean_excess_trials(report: dict) -> dict:
+    """{cell label: trials} of the run's cells that have a mean-excess check."""
     checked = {
         check["name"][: -len(MEAN_EXCESS_CHECK)]
         for check in report["checks"]
         if check["name"].endswith(MEAN_EXCESS_CHECK)
     }
+    return {cell: n for cell, n in cell_trials(report).items() if cell in checked}
+
+
+def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
+    """A line for every mean-excess cell of the run holding more than 900 trials."""
     return [
         f"{side} seed {seed}: cell '{cell}' holds {n} trials > {MAX_MEAN_EXCESS_TRIALS} "
         "(its mean-excess check overflows above 1,029)"
-        for cell, n in cell_trials(report).items()
-        if cell in checked and n > MAX_MEAN_EXCESS_TRIALS
+        for cell, n in mean_excess_trials(report).items()
+        if n > MAX_MEAN_EXCESS_TRIALS
     ]
+
+
+def overflow_calib_ms(report: dict) -> dict:
+    """{mean-excess cell: the calib_ms at which the run would have held 1,030 of its trials}.
+
+    None for every cell of a run that recorded no ``calib_ms``.
+    """
+    calib = report["extras"].get("calib_ms")
+    return {
+        cell: None if calib is None else calib * n / OVERFLOW_TRIALS
+        for cell, n in mean_excess_trials(report).items()
+    }
 
 
 def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
@@ -214,6 +236,9 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
     out["trial_count_flags"] = [
         flag for side, runs in sides for s in seeds for flag in trial_count_flags(side, s, runs[s])
     ]
+    out["overflow_calib_ms"] = {
+        side: [overflow_calib_ms(runs[s]) for s in seeds] for side, runs in sides
+    }
     out["digests_equal"] = all(
         parent[s]["extras"]["digest"] == change[s]["extras"]["digest"] for s in seeds
     )
@@ -227,6 +252,19 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
 
 def _ratio(value) -> str:
     return "n/a" if value is None else f"{value:.3f}"
+
+
+def _ms(value) -> str:
+    return "n/a" if value is None else f"{value:.4g}"
+
+
+def _by_cell(runs: list[dict]) -> dict:
+    """{cell: [its value in each run]} from one {cell: value} per run."""
+    per_cell: dict = {}
+    for run in runs:
+        for cell, value in run.items():
+            per_cell.setdefault(cell, []).append(value)
+    return per_cell
 
 
 def _cell_time_lines(cell_ms: dict) -> list[str]:
@@ -253,17 +291,16 @@ def render(report: dict) -> str:
                          f"{res['digests_equal']}  checks passed: {res['checks_passed']}")
             trials = res["trials"]
             lines.append(f"  trials  parent {trials['parent']}  change {trials['change']}")
-            calib = {side: [f"{ms:.4g}" if ms is not None else "n/a" for ms in values]
-                     for side, values in res["calib_ms"].items()}
+            calib = {side: [_ms(ms) for ms in values] for side, values in res["calib_ms"].items()}
             lines.append(f"  calib_ms  parent {calib['parent']}  change {calib['change']}")
             for side in ("parent", "change"):
-                per_cell = {}
-                for run in res["cell_trials"][side]:
-                    for cell, n in run.items():
-                        per_cell.setdefault(cell, []).append(n)
-                for cell, counts in per_cell.items():
+                for cell, counts in _by_cell(res["cell_trials"][side]).items():
                     lines.append(f"  cell trials  {side}  {cell}: {counts}")
             lines.extend(f"  FLAG {flag}" for flag in res["trial_count_flags"])
+            for side in ("parent", "change"):
+                for cell, values in _by_cell(res["overflow_calib_ms"][side]).items():
+                    lines.append(f"  {OVERFLOW_TRIALS} trials at calib_ms  {side}  {cell}: "
+                                 f"{[_ms(ms) for ms in values]}")
             lines.extend(_cell_time_lines(res["cell_trial_ms"]))
             for name, m in res["metrics"].items():
                 p, c = m["parent"], m["change"]

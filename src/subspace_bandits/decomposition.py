@@ -20,6 +20,7 @@ import numpy as np
 
 from .domain import STRUCT_TOL, HullElement, ProjectionMatrix, projector_from_basis
 from .errors import NonTermination, NotInHull, NotOrthonormal
+from .seeding import pinned_cumsum
 from .spectral import EigenSystem, sym_eig
 
 # Residual spectrum entries at or below this count as zero.
@@ -148,7 +149,4 @@ def decompose(w, k: int | None = None) -> MixtureDecomposition:
 def sample_component(mix: MixtureDecomposition, rng: np.random.Generator) -> ProjectionMatrix:
     """Draw one projector with the mixture's law (weights clipped at 0, renormalized)."""
     w = np.clip(mix.weights, 0.0, None)
-    cum = np.cumsum(w / w.sum())
-    cum[-1] = 1.0
-    pos = min(int(np.searchsorted(cum, rng.random(), side="right")), mix.size - 1)
-    return mix.projector(pos)
+    return mix.projector(int(pinned_cumsum(w / w.sum()).searchsorted(rng.random(), "right")))

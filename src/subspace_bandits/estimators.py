@@ -18,7 +18,8 @@ The per-observation functions (``split_halves``, which returns the pair of
 scaled halves, ``estimate_asym`` and ``estimate_sym``, which take that pair)
 state the split-half estimator one step at a time;
 ``split_half_sum`` is its block engine, which sums m steps' cross products
-with a few array operations per chunk of steps.
+with a few array operations per chunk of steps.  ``pair_price`` and
+``importance_weight`` state the single-pair estimator's price and weight.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from .domain import DomainSpec
 from .errors import BadAlpha, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
-from .oracles import DistributionSpec, PartialObservation, observe_block
+from .oracles import PROB_TOL, DistributionSpec, PartialObservation, observe_block
+from .seeding import pinned_cumsum
 
-PROB_TOL = 1e-12
 STEP_CHUNK = 1024  # steps whose random draws a block engine takes at once
 
 
@@ -56,10 +57,14 @@ class SparseEstimate:
         return m
 
 
-def draw_uniform_indices(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """r indices i.i.d. uniform on [0, d), duplicates allowed; r must be even."""
+def _check_split_budget(r: int) -> None:
     if r < 2 or r % 2 != 0:
         raise OddBudget(f"split-half estimators need an even budget r >= 2, got r={r}")
+
+
+def draw_uniform_indices(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
+    """r indices i.i.d. uniform on [0, d), duplicates allowed; r must be even."""
+    _check_split_budget(r)
     return rng.integers(0, d, size=r)
 
 
@@ -71,8 +76,7 @@ def split_halves(obs: PartialObservation, spec: DomainSpec) -> tuple[np.ndarray,
     Each half is a dense length-d vector with at most r/2 nonzero entries.
     """
     r = spec.r
-    if r < 2 or r % 2 != 0:
-        raise OddBudget(f"split-half estimators need an even budget r >= 2, got r={r}")
+    _check_split_budget(r)
     if obs.budget != r:
         raise DimMismatch(f"observation has {obs.budget} coordinates, expected r={r}")
     scale = 2.0 * spec.d / r
@@ -94,11 +98,10 @@ def estimate_asym(halves: tuple[np.ndarray, np.ndarray]) -> SparseEstimate:
     eigenvectors, so the output projector is unaffected.
     """
     x_hat, y_hat = halves
-    terms = []
-    for i in np.flatnonzero(x_hat):
-        xi = x_hat[i]
-        for j in np.flatnonzero(y_hat):
-            terms.append((int(i), int(j), 0.5 * xi * y_hat[j]))
+    cols = y_hat.nonzero()[0].tolist()
+    terms = [
+        (i, j, 0.5 * x_hat[i] * y_hat[j]) for i in x_hat.nonzero()[0].tolist() for j in cols
+    ]
     return SparseEstimate(dim=x_hat.size, terms=tuple(terms), symmetric=False)
 
 
@@ -108,14 +111,12 @@ def estimate_sym(halves: tuple[np.ndarray, np.ndarray]) -> SparseEstimate:
     Unbiased for E[x x^T] under uniform index draws.
     """
     x_hat, y_hat = halves
+    cols = y_hat.nonzero()[0].tolist()  # scanned once, not once per row
     terms = []
-    for i in np.flatnonzero(x_hat):
+    for i in x_hat.nonzero()[0].tolist():
         xi = x_hat[i]
-        for j in np.flatnonzero(y_hat):
-            if i == j:
-                terms.append((int(i), int(i), xi * y_hat[j]))
-            else:
-                terms.append((int(i), int(j), 0.5 * xi * y_hat[j]))
+        for j in cols:
+            terms.append((i, j, xi * y_hat[j] if i == j else 0.5 * xi * y_hat[j]))
     return SparseEstimate(dim=x_hat.size, terms=tuple(terms), symmetric=True)
 
 
@@ -138,8 +139,7 @@ def split_half_sum(
     the steps.
     """
     d, r = spec.d, spec.r
-    if r < 2 or r % 2 != 0:
-        raise OddBudget(f"split-half estimators need an even budget r >= 2, got r={r}")
+    _check_split_budget(r)
     half = r // 2
     scale = 2.0 * d / r
     # Entry j of a step lands in the x_hat block (offset 0) or the y_hat block (offset d).
@@ -188,8 +188,25 @@ class PairProbabilities:
         return self.table.shape[0]
 
 
+def pair_price(w_s, w_q, d: int, alpha: float, k: int):
+    """p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 from W_ss = ``w_s``, W_qq = ``w_q``.
+
+    Scalars or arrays that broadcast: the whole table, or the drawn pairs.
+    """
+    return (1 - alpha) * (w_s + w_q) / (2 * d * k) + alpha / d**2
+
+
+def importance_weight(s, q, prod, p):
+    """The single-pair estimate's entry at (s, q): x_s x_q / p if s == q, x_s x_q / (2p) if not.
+
+    ``prod`` = x_s x_q, ``p`` = p_{s,q} = p_{q,s}; scalars or arrays.  Off the
+    diagonal, (s, q) and (q, s) give one estimate, so it divides by their 2p.
+    """
+    return prod / (p * (1 + (s != q)))
+
+
 def mbeg_pair_probs(w, alpha: float, k: int) -> PairProbabilities:
-    """Pair-sampling table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2.
+    """Pair-sampling table: ``pair_price`` at every ordered pair (s, q).
 
     ``w`` may be a square matrix or its diagonal.  Mixing
     with the uniform distribution keeps every pair's probability at least
@@ -201,36 +218,30 @@ def mbeg_pair_probs(w, alpha: float, k: int) -> PairProbabilities:
     diag = np.diagonal(arr).astype(float) if arr.ndim == 2 else arr
     if not 0 <= alpha <= 0.5:
         raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
-    d = diag.size
-    table = (1 - alpha) * (diag[:, None] + diag[None, :]) / (2 * d * k) + alpha / d**2
+    table = pair_price(diag[:, None], diag[None, :], diag.size, alpha, k)
     return PairProbabilities(table=table, alpha=alpha)
 
 
 def draw_pair(probs: PairProbabilities, rng: np.random.Generator) -> tuple[int, int]:
     """Ordered pair (s, q) with the table's law; zero-probability pairs never occur."""
-    flat = np.cumsum(probs.table.ravel())
-    flat[-1] = 1.0
-    u = rng.random()
-    pos = min(int(np.searchsorted(flat, u, side="right")), flat.size - 1)
-    d = probs.dim
-    return pos // d, pos % d
+    pos = int(pinned_cumsum(probs.table.ravel()).searchsorted(rng.random(), "right"))
+    return divmod(pos, probs.dim)
 
 
 class MbegPairSampler:
     """Ordered pairs (s, q) from a block of uniforms, with the law of ``mbeg_pair_probs``.
 
-    The table p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 is the
-    mixture: with weight alpha a uniform pair; with weight (1-alpha)/2,
-    s proportional to W_ss and q uniform; with weight (1-alpha)/2, s uniform
-    and q proportional to W_qq.  Row t of ``u`` holds pair t's three
-    uniforms (branch, s, q).  A coordinate drawn uniformly is
+    The table of ``pair_price`` is the mixture: with weight alpha a uniform
+    pair; with weight (1-alpha)/2, s proportional to W_ss and q uniform; with
+    weight (1-alpha)/2, s uniform and q proportional to W_qq.  Row t of ``u``
+    holds pair t's three uniforms (branch, s, q).  A coordinate drawn uniformly is
     ``min(int(u * d), d - 1)``; one drawn in proportion to the diagonal is the
     first index whose prefix sum exceeds ``u * sum(diag)``, or d - 1 if none
     does.  The branches and the uniform coordinates do not depend on W, so
     they are mapped once, when the block is built; ``coordinates`` resolves
     the weighted coordinates of a run of rows under the prefix sums it is
     given, so one block serves every iterate that draws from it, and
-    ``price`` is the table's formula at given pairs.  A caller that keeps
+    ``price`` is ``pair_price`` at given pairs.  A caller that keeps
     an iterate for many runs of rows takes the prefix sums once and prices
     only the pairs it needs.
     """
@@ -259,24 +270,20 @@ class MbegPairSampler:
 
     def price(self, diag, s, q):
         """The table entries p_{s,q} under the diagonal ``diag`` of W, at scalar or array (s, q)."""
-        d = self._d
-        return (1 - self._alpha) * (diag[s] + diag[q]) / (2 * d * self._k) + self._alpha / d**2
+        return pair_price(diag[s], diag[q], self._d, self._alpha, self._k)
 
 
 def mbeg_estimate(
     s: int, q: int, x_s: float, x_q: float, p: float, d: int | None = None
 ) -> SparseEstimate:
-    """Importance-weighted single-pair estimate (x_s x_q / (2p)) (E_sq + E_qs).
+    """Importance-weighted single-pair estimate: ``importance_weight`` at (s, q) and (q, s).
 
-    For the coincident pair s == q the two terms add, giving
-    (x_s^2 / p) E_ss; this convention is what makes the exact enumeration
-    identity sum_{(s,q)} p_{s,q} C_hat(s,q) = x x^T hold.  ``d`` fixes the
-    ambient dimension of the estimate (defaults to the smallest that fits).
+    For the coincident pair s == q the two entries are one; this convention
+    is what makes the exact enumeration identity
+    sum_{(s,q)} p_{s,q} C_hat(s,q) = x x^T hold.  ``d`` fixes the ambient
+    dimension of the estimate (defaults to the smallest that fits).
     """
     if p <= 0:
         raise ZeroProbability(f"pair ({s}, {q}) has probability {p:g}")
-    if s == q:
-        terms = ((int(s), int(s), float(x_s) * float(x_q) / p),)
-    else:
-        terms = ((int(s), int(q), float(x_s) * float(x_q) / (2 * p)),)
+    terms = ((int(s), int(q), float(importance_weight(s, q, float(x_s) * float(x_q), p))),)
     return SparseEstimate(dim=d if d is not None else max(s, q) + 1, terms=terms, symmetric=True)

@@ -76,29 +76,26 @@ def excess_loss(pi: ProjectionMatrix, mom: Moments, k: int) -> LossReport:
 def identified_fraction(pi_hat: ProjectionMatrix, fixture: DistributionSpec) -> CoinReport:
     """Score a projector against a coin fixture.
 
-    For each of the 2k fixture directions u_j, theta[j] sums the squared
-    normalized overlaps |<u_hat_i, u_j>| / (||u_hat_i|| ||u_j||) over the
-    projector's basis vectors.  Coin j is identified when the overlap mass
-    sits on the side its bias favors: theta[j] > theta[j+k] for a +1 sign,
-    theta[j] < theta[j+k] for a -1 sign.
+    For each of the 2k fixture directions u_j (its support points), theta[j]
+    sums the squared normalized overlaps |<u_hat_i, u_j>| / (||u_hat_i|| ||u_j||)
+    over the projector's basis vectors; k is the number of signs.  Coin j is
+    identified when the overlap mass sits on the side its bias favors:
+    theta[j] > theta[j+k] for a +1 sign, theta[j] < theta[j+k] for a -1 sign.
     """
     if fixture.coin is None:
         raise MissingBasis(f"distribution {fixture.tag!r} carries no coin structure")
-    meta = fixture.coin
+    signs = fixture.coin.signs
     basis = pi_hat.orthonormal_basis()  # (d, k_hat)
     if basis.shape[0] != fixture.d:
         raise DimMismatch(f"projector dimension {basis.shape[0]} != fixture dimension {fixture.d}")
 
-    u_norms = np.linalg.norm(meta.basis, axis=1)
+    directions = fixture.points  # (2k, d)
+    u_norms = np.linalg.norm(directions, axis=1)
     b_norms = np.linalg.norm(basis, axis=0)
-    overlaps = np.abs(meta.basis @ basis) / (u_norms[:, None] * b_norms[None, :])
+    overlaps = np.abs(directions @ basis) / (u_norms[:, None] * b_norms[None, :])
     theta = np.sum(overlaps**2, axis=1)  # (2k,)
 
-    k = meta.k
-    identified = set()
-    for j in range(k):
-        if meta.signs[j] > 0 and theta[j] > theta[j + k]:
-            identified.add(j)
-        elif meta.signs[j] < 0 and theta[j] < theta[j + k]:
-            identified.add(j)
-    return CoinReport(theta=theta, identified=frozenset(identified), beta=len(identified) / k)
+    k = signs.size
+    # the sign times theta[j] - theta[j + k] is positive on the favored side
+    identified = frozenset(j for j in range(k) if signs[j] * (theta[j] - theta[j + k]) > 0)
+    return CoinReport(theta=theta, identified=identified, beta=len(identified) / k)

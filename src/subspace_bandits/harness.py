@@ -565,7 +565,8 @@ def _cmd_fixtures(args) -> int:
         raise ConfigError(f"fixture domain: {exc}") from exc
     dist = parse_dist_ref(args.ref, args.d, args.k, args.G)
     _check_fits(dist, domain)
-    out = args.out if args.out is not None else f"{args.ref.partition(':')[0]}.json"
+    name = dist.tag.partition("(")[0]  # the construction, "custom" for a hand-made file
+    out = args.out if args.out is not None else f"{name}.json"
     if out == "-":
         json.dump(to_jsonable(dist), sys.stdout, indent=2)
         sys.stdout.write("\n")

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import decompose, sample_component
-from .domain import DomainSpec, ProjectionMatrix, check_hull_membership, top_k_projector
+from .domain import (
+    STRUCT_TOL, DomainSpec, ProjectionMatrix, check_hull_membership, top_k_projector
+)
 from .errors import (
     AlphaTooLarge,
     BudgetNotTwo,
@@ -49,6 +51,7 @@ from .estimators import (
     MbegPairSampler,
     draw_uniform_indices,
     estimate_sym,
+    importance_weight,
     split_half_sum,
     split_halves,
 )
@@ -205,8 +208,8 @@ class LearnerTrace:
 
     ``indices`` (m, r) ``np.intp`` and ``values`` (m, r) float hold the
     coordinates step t asked for and the oracle's readings of them.  mbeg
-    only: ``estimate`` (m,) float is step t's estimate entry x_s x_q / (2p)
-    (x_s^2 / p if s == q; zero on a skipped step), and ``hull`` (m, 3) float
+    only: ``estimate`` (m,) float is step t's ``importance_weight`` (zero on
+    a skipped step), and ``hull`` (m, 3) float
     the trace error and smallest and largest eigenvalue of the iterate after it.
     """
 
@@ -305,7 +308,7 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
 def _check_iterate(stats, step: int) -> None:
     trace_err, w_min, w_max = stats
-    if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
+    if trace_err > STRUCT_TOL or w_min < -STRUCT_TOL or w_max > 1 + STRUCT_TOL:
         raise NotInHull(
             f"iterate left the hull at step {step}: trace error {trace_err:.3g}, "
             f"spectrum [{w_min:.6g}, {w_max:.6g}]"
@@ -375,14 +378,13 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
             s, q = sampler.coordinates(cum, a, a + window)
             x_s, x_q = observe_block(dist, (s, q), block[a : a + window, 3])
             prod = x_s * x_q
-            # The first nonzero estimate ends the window.  Its divisor (p, or
-            # 2p = p_sq + p_qs when s != q) is at most 1: it is nonzero where prod is.
+            # The first nonzero estimate ends the window.  Its importance
+            # weight divides by at most 1, so it is nonzero where prod is.
             hit = prod.nonzero()[0]
             n = int(hit[0]) + 1 if hit.size else s.size
             held += n  # the average runs over W_1 .. W_m, each pre-update
             if windows is not None:
-                p = sampler.price(diag, s[:n], q[:n])
-                est = prod[:n] / np.where(s[:n] == q[:n], p, 2 * p)
+                est = importance_weight(s[:n], q[:n], prod[:n], sampler.price(diag, s[:n], q[:n]))
                 before = stats
             # A zero estimate makes exp(log W + eta * 0) = W, already in the
             # hull, so the projection keeps it: the window's skipped steps keep
@@ -391,8 +393,7 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                 step = block_start + a + n - 1
                 s_j, q_j = int(s[n - 1]), int(q[n - 1])
                 p_j = sampler.price(diag, s_j, q_j)
-                # the single term of mbeg_estimate(s_j, q_j, x_s, x_q, p_j)
-                v = float(prod[n - 1] / (p_j if s_j == q_j else 2 * p_j))
+                v = float(importance_weight(s_j, q_j, prod[n - 1], p_j))
                 w_bar += held * w_now
                 held = 0
                 log_w = np.log(np.maximum(w, LOG_FLOOR))

@@ -39,6 +39,7 @@ from .errors import (
     InfNormViolation,
     InvalidMatrix,
 )
+from .seeding import pinned_cumsum
 from .spectral import EigenSystem, sym_eig, sym_matrix
 
 PROB_TOL = 1e-12
@@ -46,13 +47,10 @@ PROB_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class CoinMetadata:
-    """Extra structure carried by coin fixtures (needed to score identification)."""
+    """A coin fixture's signs and bias; its 2k directions are its support points."""
 
-    basis: np.ndarray  # (2k, d); rows u_j, pairwise orthogonal, ||u_j||^2 = G
     signs: np.ndarray  # (k,) entries in {-1, +1}
     alpha: float
-    G: float
-    k: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +85,8 @@ class DistributionSpec:
         inf = float(np.max(np.abs(pts))) if pts.size else 0.0
         if inf > 1 + 1e-12:
             raise InfNormViolation(f"support coordinate magnitude {inf:.12g} exceeds 1")
+        if self.coin is not None and pts.shape[0] != 2 * self.coin.signs.size:
+            raise DimMismatch(f"a coin fixture needs two support points per sign, got {pts.shape}")
 
     @property
     def size(self) -> int:
@@ -94,9 +94,7 @@ class DistributionSpec:
 
     @cached_property
     def _cum_probs(self) -> np.ndarray:
-        c = np.cumsum(self.probs)
-        c[-1] = 1.0  # guard against cumulative rounding below a unit draw
-        return c
+        return pinned_cumsum(self.probs)
 
     @cached_property
     def _cum_list(self) -> list:
@@ -180,8 +178,7 @@ def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> Partia
     for i in idx:
         if i < 0 or i >= d:
             raise BadIndex(f"index {i} outside [0, {d})")
-    # The last cumulative probability is exactly 1.0 and the uniform is below
-    # 1, so the bisection always lands on a valid row.
+    # The cumulative probabilities end at exactly 1.0 (``pinned_cumsum``): no row is out of range.
     row = bisect.bisect_right(dist._cum_list, rng.random())
     return PartialObservation(indices=idx, values=dist._rows[row].take(idx))
 
@@ -214,8 +211,7 @@ def sample_instances(dist: DistributionSpec, size: int, rng: np.random.Generator
     Used by the batch-PCA baseline and Monte-Carlo checks only; budgeted
     learners must go through :func:`observe`.
     """
-    u = rng.random(size)
-    rows = np.minimum(np.searchsorted(dist._cum_probs, u, side="right"), dist.size - 1)
+    rows = dist._cum_probs.searchsorted(rng.random(size), "right")
     return dist.points[rows]  # fancy indexing copies
 
 
@@ -322,7 +318,7 @@ def coin_fixture(d: int, k: int, G: float, alpha: float, b, U) -> DistributionSp
         points=basis.copy(),
         probs=probs,
         tag=f"coin(d={d},k={k},G={G:g},alpha={alpha:g})",
-        coin=CoinMetadata(basis=basis.copy(), signs=signs, alpha=alpha, G=float(G), k=k),
+        coin=CoinMetadata(signs=signs, alpha=alpha),
     )
 
 
@@ -374,7 +370,8 @@ def exact_moments(dist: DistributionSpec) -> Moments:
 def to_jsonable(dist: DistributionSpec) -> dict:
     """Plain-dict form of a distribution: {"d", "tag", "support": [{"x", "p"}]}.
 
-    Coin fixtures carry their extra structure under an optional "coin" key.
+    Coin fixtures carry their signs and bias under an optional "coin" key,
+    {"signs", "alpha"}; their directions are the support points.
     """
     doc = {
         "d": dist.d,
@@ -385,31 +382,19 @@ def to_jsonable(dist: DistributionSpec) -> dict:
         ],
     }
     if dist.coin is not None:
-        doc["coin"] = {
-            "basis": [[float(v) for v in row] for row in dist.coin.basis],
-            "signs": [int(s) for s in dist.coin.signs],
-            "alpha": dist.coin.alpha,
-            "G": dist.coin.G,
-            "k": dist.coin.k,
-        }
+        doc["coin"] = {"signs": [int(s) for s in dist.coin.signs], "alpha": dist.coin.alpha}
     return doc
 
 
 def from_jsonable(doc: dict) -> DistributionSpec:
+    """Inverse of :func:`to_jsonable`; an older coin block's "basis", "G" and "k" go unread."""
     d = int(doc["d"])
     support = doc["support"]
     points = np.array([entry["x"] for entry in support], dtype=float)
     probs = np.array([entry["p"] for entry in support], dtype=float)
-    coin = None
-    if "coin" in doc:
-        c = doc["coin"]
-        coin = CoinMetadata(
-            basis=np.array(c["basis"], dtype=float),
-            signs=np.array(c["signs"], dtype=float),
-            alpha=float(c["alpha"]),
-            G=float(c["G"]),
-            k=int(c["k"]),
-        )
+    coin = doc.get("coin")
+    if coin is not None:
+        coin = CoinMetadata(signs=np.array(coin["signs"], dtype=float), alpha=float(coin["alpha"]))
     return DistributionSpec(
         d=d, points=points, probs=probs, tag=str(doc.get("tag", "custom")), coin=coin
     )

@@ -32,3 +32,13 @@ def mix64(*parts: int) -> int:
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; distinct seeds give independent streams."""
     return np.random.Generator(np.random.Philox(key=int(seed) & MASK64))
+
+
+def pinned_cumsum(probs) -> np.ndarray:
+    """The inverse-CDF table of a probability vector: its cumulative sums, the last pinned to 1.0.
+
+    For any uniform u in [0, 1), ``searchsorted(c, u, "right")`` is then a valid index.
+    """
+    c = np.cumsum(probs)
+    c[-1] = 1.0
+    return c

@@ -16,8 +16,8 @@ from subspace_bandits.domain import DomainSpec
 from subspace_bandits.estimators import (
     draw_uniform_indices,
     estimate_sym,
-    mbeg_estimate,
-    mbeg_pair_probs,
+    importance_weight,
+    pair_price,
     split_half_sum,
     split_halves,
 )
@@ -165,16 +165,22 @@ def test_criterion_01_exact_estimator_unbiasedness(criterion_report):
         engine = split_half_sum(point, spec, count, StubDraws(tuples, np.zeros(count)))
         worst = max(worst, float(np.max(np.abs(engine / count - np.outer(x, x)))))
 
+    # The price and the weight mbeg runs, at every ordered pair; the prices
+    # form a probability table, so the sum is the estimate's expectation.
     rng = make_rng(101)
     for _ in range(20):
         lam = capped_simplex_project(rng.random(4) * 1.5, 1)
         alpha = float(rng.uniform(0.05, 0.5))
-        probs = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=1)
+        table = pair_price(lam[:, None], lam[None, :], 4, alpha, 1)
+        assert abs(float(table.sum()) - 1.0) <= 1e-12
         total = np.zeros((4, 4))
         for s in range(4):
             for q in range(4):
-                p = float(probs.table[s, q])
-                total += p * mbeg_estimate(s, q, x[s], x[q], p, d=4).to_dense()
+                p = float(table[s, q])
+                v = importance_weight(s, q, x[s] * x[q], p)
+                total[s, q] += p * v
+                if s != q:
+                    total[q, s] += p * v
         worst = max(worst, float(np.max(np.abs(total - np.outer(x, x)))))
 
     elapsed = time.perf_counter() - start

@@ -189,6 +189,31 @@ def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_co
     assert rss.endswith("trials (median) parent 125  change 225")
 
 
+def test_reports_the_calibration_time_at_which_each_mean_excess_cell_overflows(
+    tmp_path, bench_compare, capsys
+):
+    # trials scale as 1 / calib_ms, so the run reaches 1,030 trials at calib_ms * trials / 1030
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    cells = [("mbeg d=16", 515, True), ("starved", 2060, False)]  # no mean-excess check: skipped
+    write_run(parent, "mbeg-d16", 1, 5.0, "a", cells=cells, calib_ms=0.9)
+    write_run(change, "mbeg-d16", 1, 5.0, "a", cells=[("mbeg d=16", 1030, True)], calib_ms=0.6)
+    write_run(parent, "mbeg-d16", 2, 5.0, "b", cells=cells)  # no calib_ms recorded
+    write_run(change, "mbeg-d16", 2, 5.0, "b", cells=cells, calib_ms=0.5)
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["end_to_end"]["mbeg-d16"]
+    assert res["overflow_calib_ms"] == {
+        "parent": [{"mbeg d=16": 0.45}, {"mbeg d=16": None}],
+        "change": [{"mbeg d=16": 0.6}, {"mbeg d=16": 0.25}],
+    }
+    printed = capsys.readouterr().out
+    assert "1030 trials at calib_ms  parent  mbeg d=16: ['0.45', 'n/a']" in printed
+    assert "1030 trials at calib_ms  change  mbeg d=16: ['0.6', '0.25']" in printed
+    assert "FLAG change seed 1: cell 'mbeg d=16' holds 1030 trials" in printed
+
+
 def test_one_sided_runs_fail_the_comparison_and_are_named(tmp_path, bench_compare, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     change.mkdir()

@@ -14,6 +14,7 @@ from subspace_bandits.estimators import (
     draw_uniform_indices,
     estimate_asym,
     estimate_sym,
+    importance_weight,
     mbeg_estimate,
     mbeg_pair_probs,
     split_half_sum,
@@ -441,6 +442,18 @@ class TestMbegEstimate:
     def test_zero_probability(self):
         with pytest.raises(ZeroProbability):
             mbeg_estimate(0, 1, 1.0, 1.0, 0.0)
+
+    def test_importance_weight_divides_by_p_or_2p_at_scalars_and_arrays(self):
+        # mbeg weighs its hit pair at scalars and its trace rows at arrays
+        rng = make_rng(12)
+        s, q = rng.integers(0, 3, size=(2, 200))
+        prod, p = rng.uniform(-1, 1, 200), rng.uniform(1e-3, 1, 200)
+        rows = list(zip(s.tolist(), q.tolist(), prod, p))
+        expected = np.array([x / pr if a == b else x / (2 * pr) for a, b, x, pr in rows])
+        assert 0 < np.count_nonzero(s == q) < 200
+        assert importance_weight(s, q, prod, p).tobytes() == expected.tobytes()
+        scalars = np.array([importance_weight(*row) for row in rows])
+        assert scalars.tobytes() == expected.tobytes()
 
     def test_exact_unbiasedness_over_all_pairs(self):
         # probability-weighted sum over all ordered pairs reproduces x x^T

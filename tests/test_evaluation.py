@@ -150,8 +150,8 @@ class TestIdentifiedFraction:
 
     def test_perfect_identification(self):
         fixture = self.make_fixture([1.0, -1.0])
-        meta = fixture.coin
-        favored = np.stack([meta.basis[0], meta.basis[3]])  # +1 coin 0, -1 coin 1
+        u = fixture.points  # the coin directions
+        favored = np.stack([u[0], u[3]])  # +1 coin 0, -1 coin 1
         pi = projector_from_basis(favored.T / np.linalg.norm(favored, axis=1))
         report = identified_fraction(pi, fixture)
         assert report.beta == 1.0
@@ -159,10 +159,17 @@ class TestIdentifiedFraction:
 
     def test_disfavored_projector_scores_zero(self):
         fixture = self.make_fixture([1.0, -1.0])
-        meta = fixture.coin
-        disfavored = np.stack([meta.basis[2], meta.basis[1]])
+        u = fixture.points
+        disfavored = np.stack([u[2], u[1]])
         pi = projector_from_basis(disfavored.T / np.linalg.norm(disfavored, axis=1))
         assert identified_fraction(pi, fixture).beta == 0.0
+
+    def test_equal_mass_on_both_sides_identifies_no_coin(self):
+        # a projector orthogonal to every direction puts theta = 0 on both sides
+        fixture = self.make_fixture([1.0, -1.0])
+        report = identified_fraction(projector_from_basis(np.eye(6)[:, 4:]), fixture)
+        assert np.array_equal(report.theta, np.zeros(4))
+        assert report.beta == 0.0 and report.identified == frozenset()
 
     def test_optimal_projector_identifies_everything(self):
         fixture = self.make_fixture([1.0, 1.0])

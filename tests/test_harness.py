@@ -36,6 +36,7 @@ from subspace_bandits.oracles import (
     load_distribution,
     make_finite_support,
     sample_instances,
+    save_distribution,
     to_jsonable,
 )
 from subspace_bandits.seeding import make_rng, mix64, splitmix64
@@ -441,6 +442,22 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         assert cli_main(["fixtures", "dyadic:s=1,eps=0.2", "--d", "6"]) == 0
         assert load_distribution(tmp_path / "dyadic.json").tag.startswith("dyadic")
+
+    def test_fixtures_default_output_for_a_json_reference_is_named_after_its_tag(
+        self, tmp_path, monkeypatch
+    ):
+        # a hand-made file has no tag and loads as "custom"; a written one keeps its construction
+        monkeypatch.chdir(tmp_path)
+        hand = {"d": 4, "support": [{"x": [0.0, 1.0, 0.0, 0.0], "p": 1.0}]}
+        (tmp_path / "hand.json").write_text(json.dumps(hand))
+        assert cli_main(["fixtures", "hand.json", "--d", "4"]) == 0
+        assert load_distribution(tmp_path / "custom.json").tag == "custom"
+        save_distribution(impossibility_fixture(4, 1.0, 2), tmp_path / "mine.json")
+        assert cli_main(["fixtures", "mine.json", "--d", "4"]) == 0
+        assert load_distribution(tmp_path / "impossibility.json").tag.startswith("impossibility")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "custom.json", "hand.json", "impossibility.json", "mine.json"
+        ]
 
     @pytest.mark.parametrize("argv,expected", [
         (["impossibility:s=2", "--d", "5", "--G", "1"], impossibility_fixture(5, 1.0, 2)),

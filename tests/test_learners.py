@@ -801,9 +801,10 @@ class TestMbeg:
 
     @pytest.mark.parametrize("spec, dist", DEFAULT_BUDGET_FIXTURES, ids=DEFAULT_BUDGET_IDS)
     def test_matches_dense_reference_at_default_budget(self, spec, dist):
-        # The step loop against sym_eig + the pair table, step by step; the
-        # replay runs the dense update on zero-estimate steps too, where the
-        # loop keeps its iterate.  The axis-aligned fixtures only ever update
+        # The step loop against sym_eig + the pair table, step by step.  Like
+        # the loop, the replay keeps its iterate on a step whose own estimate
+        # is exactly zero, and checks that the iterate it keeps is a fixed
+        # point of entropic_project.  The axis-aligned fixtures only ever update
         # diagonal cells, so every iterate stays diagonal and every loop
         # update is an eigenvalue shift, checked here against eigh; the
         # Hadamard-basis coins (G > 1) update off-diagonal cells and rotate
@@ -811,9 +812,10 @@ class TestMbeg:
         # rotated basis is carried across skipped steps.
         cfg = LearnerConfig(spec=spec, m=mbeg_min_budget(spec), seed=13)
         _, trace = mbeg(dist, cfg, return_trace=True)
-        w_bar, worst_gap, worst_stat_gap = dense_mbeg_replay(dist, cfg, trace)
+        w_bar, worst_gap, worst_stat_gap, worst_fixed_gap = dense_mbeg_replay(dist, cfg, trace)
         assert worst_gap <= 1e-10
         assert worst_stat_gap <= 1e-10
+        assert worst_fixed_gap <= 1e-10
         assert np.max(np.abs(w_bar - trace.final_matrix)) <= 1e-10
 
 

@@ -9,13 +9,17 @@ from subspace_bandits.errors import (
     BadIndex,
     BadParams,
     BadProbabilities,
+    DimMismatch,
     InfeasibleBasis,
 )
+from subspace_bandits.evaluation import identified_fraction
 from subspace_bandits.oracles import (
+    DistributionSpec,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
     exact_moments,
+    from_jsonable,
     impossibility_fixture,
     load_distribution,
     make_finite_support,
@@ -24,10 +28,10 @@ from subspace_bandits.oracles import (
     sample_instances,
     save_distribution,
 )
-from subspace_bandits.seeding import make_rng
+from subspace_bandits.seeding import make_rng, pinned_cumsum
 from subspace_bandits.spectral import sym_eig
 
-from util import UniformQueue
+from util import StubDraws, UniformQueue, random_projector
 
 
 def point_mass_e0(d=3):
@@ -35,6 +39,22 @@ def point_mass_e0(d=3):
     x = np.zeros(d)
     x[0] = 1.0
     return make_finite_support([(x, 1.0)], spec, tag="pointmass")
+
+
+class TestPinnedCumsum:
+    def test_a_uniform_just_below_one_lands_on_the_last_row(self):
+        # ten tenths sum to 1 - 2^-53 in floating point, the largest uniform:
+        # unpinned, that uniform would index one row past the end
+        probs = np.full(10, 0.1)
+        u = np.nextafter(1.0, 0.0)
+        assert np.cumsum(probs).searchsorted(u, "right") == 10
+        table = pinned_cumsum(probs)
+        assert table[-1] == 1.0 and np.array_equal(table[:-1], np.cumsum(probs)[:-1])
+        assert table.searchsorted(u, "right") == 9
+        dist = DistributionSpec(10, np.eye(10), probs, tag="tenths")
+        rows = sample_instances(dist, 1, StubDraws(np.zeros((0, 1), np.intp), [u]))
+        assert np.array_equal(rows, np.eye(10)[9:])
+        assert np.array_equal(observe(dist, (9,), UniformQueue([u])).values, [1.0])
 
 
 class TestObserve:
@@ -417,8 +437,41 @@ class TestJsonRoundTrip:
         dist = coin_fixture(6, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(6, 2, 1.0))
         path = tmp_path / "coin.json"
         save_distribution(dist, path)
+        # the directions are the support points, written once
+        assert json.loads(path.read_text())["coin"] == {"signs": [1, -1], "alpha": 0.4}
         back = load_distribution(path)
         assert back.coin is not None
-        assert np.array_equal(back.coin.basis, dist.coin.basis)
+        assert np.array_equal(back.points, dist.points)
         assert np.array_equal(back.coin.signs, dist.coin.signs)
         assert back.coin.alpha == dist.coin.alpha
+
+    def test_an_older_coin_document_loads_and_scores_the_same(self, tmp_path):
+        # Older documents repeat the directions under "coin": "basis" equals
+        # the support points, and "G" and "k" follow from them.
+        h = 0.7071067811865476
+        rows = [[h, h, h, h], [h, -h, h, -h], [h, h, -h, -h], [h, -h, -h, h]]
+        older = {
+            "d": 4,
+            "tag": "coin(d=4,k=2,G=2,alpha=0.4)",
+            "support": [{"x": x, "p": p} for x, p in zip(rows, (0.35, 0.15, 0.15, 0.35))],
+            "coin": {"basis": rows, "signs": [1, -1], "alpha": 0.4, "G": 2.0, "k": 2},
+        }
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(older))
+        back = load_distribution(path)
+        dist = coin_fixture(4, 2, 2.0, 0.4, [1.0, -1.0], default_coin_basis(4, 2, 2.0))
+        assert np.array_equal(back.points, dist.points)
+        assert np.array_equal(back.probs, dist.probs)
+        assert np.array_equal(back.coin.signs, dist.coin.signs)
+        assert back.coin.alpha == dist.coin.alpha
+        rng = make_rng(31)
+        for _ in range(20):
+            pi = random_projector(rng, 4, 2)
+            old, new = identified_fraction(pi, back), identified_fraction(pi, dist)
+            assert np.array_equal(old.theta, new.theta) and old.beta == new.beta
+
+    def test_a_coin_document_needs_two_points_per_sign(self):
+        doc = {"d": 4, "support": [{"x": [0.0, 1.0, 0.0, 0.0], "p": 1.0}],
+               "coin": {"signs": [1], "alpha": 0.4}}
+        with pytest.raises(DimMismatch, match="two support points per sign, got \\(1, 4\\)"):
+            from_jsonable(doc)

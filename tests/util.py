@@ -136,9 +136,11 @@ def simplex_project_scaled(lam, k):
 
 
 def spectral_norm(m):
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    vals = np.linalg.eigvalsh(sym_matrix(m))
-    return float(np.max(np.abs(vals)))
+    """Largest absolute eigenvalue of an exactly symmetric matrix."""
+    if not (m == m.T).all():
+        raise ValueError("spectral_norm takes an exactly symmetric matrix")
+    vals = np.linalg.eigvalsh(m)  # ascending
+    return float(max(-vals[0], vals[-1]))
 
 
 def brute_force_scaled_simplex(lam, k):
@@ -264,11 +266,16 @@ def dense_mbeg_replay(dist, cfg, trace):
     diagonal, the observation from replaying the seed's stream in the
     documented order (``rng.random(3)`` for the pair, then the oracle's
     uniform), the estimate from ``mbeg_estimate``, and the update
-    exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.
+    exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.  The
+    table and W are built once per iterate.  A step whose replayed estimate
+    is exactly zero keeps the iterate: its update is exp(log W) = W followed
+    by the projection, so keeping it is exact when w is a fixed point of
+    ``entropic_project``, which is checked the first time an iterate is kept.
     Returns the symmetrized iterate average, the largest relative gap
-    between the replayed and the traced ``estimate``, and the largest gap
+    between the replayed and the traced ``estimate``, the largest gap
     between the replayed iterate's hull statistics (trace error, smallest and
-    largest eigenvalue) and the traced ``hull`` rows.
+    largest eigenvalue) and the traced ``hull`` rows, and the largest move
+    of a kept spectrum under ``entropic_project``.
     """
     from subspace_bandits.learners import entropic_project, mbeg_rates
 
@@ -278,25 +285,35 @@ def dense_mbeg_replay(dist, cfg, trace):
     w = np.full(d, k / d)
     basis = np.eye(d)
     w_bar = np.zeros((d, d))
-    worst_gap = 0.0
-    worst_stat_gap = 0.0
+    worst_gap = worst_stat_gap = worst_fixed_gap = 0.0
+    new_iterate = True
     for (s, q), v_traced, traced in zip(trace.indices.tolist(), trace.estimate, trace.hull):
-        w_bar += (basis * w) @ basis.T
-        probs = mbeg_pair_probs((basis**2) @ w, alpha, k=k)
+        if new_iterate:
+            w_now = (basis * w) @ basis.T
+            table = mbeg_pair_probs((basis**2) @ w, alpha, k=k).table
+            stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+            new_iterate = kept = False
+        w_bar += w_now
         rng.random(3)
         obs = observe(dist, (s, q), rng)
-        est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(probs.table[s, q]), d=d)
+        est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(table[s, q]), d=d)
         v = est.terms[0][2]
         worst_gap = max(worst_gap, abs(v - v_traced) / max(1.0, abs(v)))
-        m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
-        m_update = 0.5 * (m_update + m_update.T) + eta * est.to_dense()
-        eig = sym_eig(m_update)
-        w = entropic_project(np.maximum(np.exp(eig.values), LOG_FLOOR), k)
-        basis = eig.vectors
-        stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+        if v != 0.0:
+            m_update = (basis * np.log(np.maximum(w, LOG_FLOOR))) @ basis.T
+            m_update = 0.5 * (m_update + m_update.T) + eta * est.to_dense()
+            eig = sym_eig(m_update)
+            w = entropic_project(np.maximum(np.exp(eig.values), LOG_FLOOR), k)
+            basis = eig.vectors
+            stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
+            new_iterate = True
+        elif not kept:
+            fixed = entropic_project(np.maximum(w, LOG_FLOOR), k)
+            worst_fixed_gap = max(worst_fixed_gap, float(np.max(np.abs(fixed - w))))
+            kept = True
         worst_stat_gap = max(worst_stat_gap, *(abs(a - b) for a, b in zip(stats, traced)))
     w_bar /= len(trace.estimate)
-    return 0.5 * (w_bar + w_bar.T), worst_gap, worst_stat_gap
+    return 0.5 * (w_bar + w_bar.T), worst_gap, worst_stat_gap, worst_fixed_gap
 
 
 # ---------------------------------------------------------------------------
