@@ -19,7 +19,7 @@ from subspace_bandits.evaluation import identified_fraction
 from subspace_bandits.harness import ExperimentConfig, emit_csv, run_sweep
 from subspace_bandits.learners import full_info_pca
 from subspace_bandits.oracles import coin_fixture, default_coin_basis, sample_instances
-from subspace_bandits.seeding import make_rng, mix64
+from subspace_bandits.seeding import make_rng
 
 
 def main():
@@ -49,14 +49,14 @@ def main():
     records = run_sweep(cfg)
     emit_csv(records, args.out)
     for m in cfg.m_values:
-        cell = [r.excess_loss for r in records if r.m == m]
+        cell = [r for r in records if r.m == m]
         betas = []
-        for t in range(args.trials):
-            rng = make_rng(mix64(args.seed, m, t))
-            pi = full_info_pca(sample_instances(fixture, m, rng), args.k)
-            betas.append(identified_fraction(pi, fixture).beta)
+        for rec in cell:
+            # replay the trial's draws from the seed its record carries
+            samples = sample_instances(fixture, m, make_rng(rec.seed))
+            betas.append(identified_fraction(full_info_pca(samples, args.k), fixture).beta)
         print(
-            f"m={m:>7d}  mean excess {np.mean(cell):.3e}  "
+            f"m={m:>7d}  mean excess {np.mean([r.excess_loss for r in cell]):.3e}  "
             f"mean identified fraction {np.mean(betas):.3f}"
         )
     print(f"wrote {len(records)} records to {args.out}")

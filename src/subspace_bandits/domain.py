@@ -106,6 +106,14 @@ class ProjectionMatrix:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMatrix(f"projector must be square, got shape {m.shape}")
+        # A basis is checked first: one that is not orthonormal spans no
+        # projector, and this names the cause.
+        if self.basis is not None:
+            b = self.basis
+            if b.shape != (m.shape[0], self.rank):
+                raise DimMismatch(f"basis shape {b.shape} incompatible with rank {self.rank}")
+            if np.max(np.abs(b.T @ b - np.eye(self.rank))) > STRUCT_TOL:
+                raise NotOrthonormal("projector basis columns are not orthonormal")
         if np.max(np.abs(m - m.T)) > STRUCT_TOL:
             raise InvalidMatrix("projector is not symmetric")
         if np.max(np.abs(m @ m - m)) > STRUCT_TOL:
@@ -114,12 +122,6 @@ class ProjectionMatrix:
             raise InvalidMatrix(
                 f"trace {np.trace(m):.12g} differs from rank {self.rank} by more than {STRUCT_TOL}"
             )
-        if self.basis is not None:
-            b = self.basis
-            if b.shape != (m.shape[0], self.rank):
-                raise DimMismatch(f"basis shape {b.shape} incompatible with rank {self.rank}")
-            if np.max(np.abs(b.T @ b - np.eye(self.rank))) > STRUCT_TOL:
-                raise NotOrthonormal("projector basis columns are not orthonormal")
 
     @property
     def dim(self) -> int:
@@ -157,52 +159,46 @@ class HullMembershipReport:
     trace_error: float
     min_eigenvalue: float
     max_eigenvalue: float
-    tol: float
-    trace_tol: float
     passed: bool
 
     def __str__(self):
         return (
             f"hull membership {'pass' if self.passed else 'FAIL'}: "
-            f"trace error {self.trace_error:.3e} (tol {self.trace_tol:.1e}), "
+            f"trace error {self.trace_error:.3e} (tol {STRUCT_TOL:.1e}), "
             f"eigenvalues in [{self.min_eigenvalue:.6g}, {self.max_eigenvalue:.6g}] "
-            f"(overshoot tol {self.tol:.1e})"
+            f"(overshoot tol {MEMBER_TOL:.1e})"
         )
 
 
-def check_hull_membership(
-    w, k: int, tol: float = MEMBER_TOL, trace_tol: float = STRUCT_TOL
-) -> HullMembershipReport:
+def check_hull_membership(w, k: int) -> HullMembershipReport:
     """Report how far a symmetric matrix is from {spectrum in [0,1], trace k}.
 
-    ``w`` is a symmetric matrix or an :class:`EigenSystem`, whose values are
-    read as they are.  Purely diagnostic: never raises for a failing matrix.
+    The trace is held to ``STRUCT_TOL`` and the spectrum to [0, 1] within
+    ``MEMBER_TOL``.  ``w`` is a symmetric matrix or an :class:`EigenSystem`,
+    whose values are read as they are.  Purely diagnostic: never raises for
+    a failing matrix.
     """
     vals = w.values if isinstance(w, EigenSystem) else np.linalg.eigvalsh(sym_matrix(w))
     trace_error = abs(float(np.sum(vals)) - k)
     lo = float(vals.min())
     hi = float(vals.max())
-    passed = (trace_error <= trace_tol) and (lo >= -tol) and (hi <= 1 + tol)
+    passed = (trace_error <= STRUCT_TOL) and (lo >= -MEMBER_TOL) and (hi <= 1 + MEMBER_TOL)
     return HullMembershipReport(
-        trace_error=trace_error,
-        min_eigenvalue=lo,
-        max_eigenvalue=hi,
-        tol=tol,
-        trace_tol=trace_tol,
-        passed=passed,
+        trace_error=trace_error, min_eigenvalue=lo, max_eigenvalue=hi, passed=passed
     )
 
 
 def projector_from_basis(v) -> ProjectionMatrix:
-    """Build the projector V V^T from a d x k column-orthonormal matrix."""
+    """Build the projector V V^T from a d x k column-orthonormal matrix.
+
+    :class:`ProjectionMatrix` checks the columns: raises :class:`NotOrthonormal`.
+    """
     b = np.asarray(v, dtype=float)
     if b.ndim == 1:
         b = b[:, None]
     d, k = b.shape
     if k > d:
         raise DimMismatch(f"basis has more columns ({k}) than rows ({d})")
-    if np.max(np.abs(b.T @ b - np.eye(k))) > STRUCT_TOL:
-        raise NotOrthonormal("basis columns are not orthonormal to 1e-8")
     m = b @ b.T
     return ProjectionMatrix(matrix=0.5 * (m + m.T), rank=k, basis=b)
 
@@ -210,7 +206,9 @@ def projector_from_basis(v) -> ProjectionMatrix:
 def top_k_projector(m, k: int) -> ProjectionMatrix:
     """Projector onto the span of the k leading eigenvectors of a symmetric matrix.
 
-    Eigenvalue ties at the cut are resolved by the deterministic order of ``sym_eig``.
+    A square ``m`` is read as (m + m^T)/2, the symmetric part ``sym_eig``
+    ingests.  Eigenvalue ties at the cut are resolved by the deterministic
+    order of ``sym_eig``.
     """
     eig = sym_eig(m)
     if not 1 <= k <= eig.dim:

@@ -246,17 +246,25 @@ def _parse_kv(argstr: str) -> dict:
     return out
 
 
-def parse_dist_ref(ref: str, d: int, k: int, G: float) -> DistributionSpec:
+def parse_dist_ref(ref: str | dict, d: int, k: int, G: float) -> DistributionSpec:
     """Resolve a distribution reference for dimension d, rank k and squared-norm bound G.
 
-    Accepts a path to a fixture JSON file, or an inline form:
+    Accepts a fixture document (the dict ``to_jsonable`` writes), a path to
+    a fixture JSON file, or an inline form:
     ``pointmass[:coord=I]``, ``impossibility:s=I``,
     ``dyadic:s=I,eps=X[,c=X]``, ``coin:alpha=X[,b=+-...]``.
-    Coordinates are 0-based.  A missing, repeated or unused argument is a
-    ``ConfigError``.
+    Coordinates are 0-based.  A missing, repeated or unused argument, or a
+    document or file that does not hold a distribution, is a ``ConfigError``.
     """
-    if ref.endswith(".json") or os.path.exists(ref):
-        return load_distribution(ref)
+    if not isinstance(ref, str) or ref.endswith(".json") or os.path.exists(ref):
+        is_path = isinstance(ref, str)
+        try:
+            return load_distribution(ref) if is_path else from_jsonable(ref)
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"fixture file {ref!r}" if is_path else "config field 'distribution'"
+            raise ConfigError(
+                f"{where} is not a distribution: {type(exc).__name__}: {exc}"
+            ) from exc
     name, _, argstr = ref.partition(":")
     kv = _parse_kv(argstr)
     try:
@@ -331,18 +339,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         domain = DomainSpec(d, k, r, G)
     except ValueError as exc:
         raise ConfigError(f"config field 'domain': {exc}") from exc
-    dist_doc = _field(doc, "distribution")
-    try:
-        if isinstance(dist_doc, str):
-            dist = parse_dist_ref(dist_doc, domain.d, domain.k, domain.G)
-        else:
-            dist = from_jsonable(dist_doc)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"config field 'distribution' is not a distribution: {type(exc).__name__}: {exc}"
-        ) from exc
+    dist = parse_dist_ref(_field(doc, "distribution"), domain.d, domain.k, domain.G)
     m_values = _field(doc, "m_values")
     if not isinstance(m_values, (list, tuple)):
         raise ConfigError(f"config field 'm_values' must be a list of integers, got {m_values!r}")

@@ -246,12 +246,11 @@ def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = 
     observed = [] if return_trace else None
 
     acc = split_half_sum(dist, spec, cfg.m, rng, observed) / (2 * cfg.m)
-    symmetrized = 0.5 * (acc + acc.T)
-    pi = top_k_projector(symmetrized, spec.k)
+    pi = top_k_projector(acc, spec.k)  # sym_eig's ingest symmetrizes
     if not return_trace:
         return pi
     indices, values = map(np.concatenate, zip(*observed))
-    return pi, LearnerTrace(indices, values, final_matrix=symmetrized)
+    return pi, LearnerTrace(indices, values, final_matrix=0.5 * (acc + acc.T))
 
 
 def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
@@ -467,5 +466,4 @@ def full_info_pca(samples, k: int) -> ProjectionMatrix:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2:
         raise DimMismatch(f"samples must form an (m, d) array, got shape {x.shape}")
-    c = x.T @ x / x.shape[0]
-    return top_k_projector(0.5 * (c + c.T), k)
+    return top_k_projector(x.T @ x / x.shape[0], k)

@@ -40,7 +40,7 @@ from .errors import (
     InvalidMatrix,
 )
 from .seeding import pinned_cumsum
-from .spectral import EigenSystem, sym_eig, sym_matrix
+from .spectral import EigenSystem, sym_eig
 
 PROB_TOL = 1e-12
 
@@ -143,9 +143,9 @@ class Moments:
     mean_sq_norm: float
 
     def __post_init__(self):
-        vals = np.linalg.eigvalsh(sym_matrix(self.C))
-        if vals.min() < -1e-10:
-            raise InvalidMatrix(f"correlation matrix not PSD: min eigenvalue {vals.min():.3g}")
+        low = self.eig.values[-1]
+        if low < -1e-10:
+            raise InvalidMatrix(f"correlation matrix not PSD: min eigenvalue {low:.3g}")
         if abs(float(np.trace(self.C)) - self.mean_sq_norm) > 1e-10:
             raise InvalidMatrix("trace of C must equal the mean squared norm")
 

@@ -143,6 +143,11 @@ class TestProjectionMatrixType:
         with pytest.raises(ValueError):
             ProjectionMatrix(matrix=np.diag([1.0, 1.0]), rank=1)
 
+    def test_a_basis_that_is_not_orthonormal_is_named_before_the_matrix_checks(self):
+        b = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NotOrthonormal):
+            ProjectionMatrix(matrix=b @ b.T, rank=2, basis=b)
+
     def test_orthonormal_basis_recovery(self):
         rng = rng_for(25)
         v = random_orthonormal(rng, 5, 2)

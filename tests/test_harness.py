@@ -714,6 +714,21 @@ class TestCli:
         assert cli_main(["fixtures", str(src), "--d", "5", "--out", "-"]) == 2
         assert "distribution dimension 4 != domain dimension 5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['{"d": 4, "support": [{"x": [1', '{"d": 4}'],
+                             ids=["truncated", "no-support"])
+    def test_fixtures_and_run_refuse_a_file_that_is_not_a_distribution(self, content, capsys,
+                                                                          tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        for argv in (["fixtures", str(bad), "--d", "4", "--out", "-"],
+                     [*self.RUN_D4, "--dist", str(bad)]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            refusal = f"error: fixture file {str(bad)!r} is not a distribution"
+            assert captured.err.startswith(refusal)
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_fixtures_rejects_a_non_sign_character(self, capsys, tmp_path):
         argv = ["fixtures", "coin:alpha=0.5,b=+x", "--d", "4", "--k", "2"]
         assert cli_main([*argv, "--out", "-"]) == 2

@@ -11,10 +11,12 @@ from subspace_bandits.errors import (
     BadProbabilities,
     DimMismatch,
     InfeasibleBasis,
+    InvalidMatrix,
 )
 from subspace_bandits.evaluation import identified_fraction
 from subspace_bandits.oracles import (
     DistributionSpec,
+    Moments,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
@@ -385,6 +387,18 @@ class TestExactMoments:
         mc = xs.T @ xs / xs.shape[0]
         assert np.max(np.abs(mc - mom.C)) <= 0.02
         assert np.linalg.eigvalsh(mom.C).min() >= -1e-10
+
+    def test_moments_and_their_eigensystem_take_one_eigendecomposition(self, linalg_calls):
+        # The PSD check reads the spectrum that ``Moments.eig`` keeps.
+        dist = coin_fixture(6, 2, 1.0, 0.4, [1.0, -1.0], default_coin_basis(6, 2, 1.0))
+        linalg_calls.clear()
+        mom = exact_moments(dist)
+        assert mom.eig.values[-1] >= -1e-10
+        assert [name for name, _ in linalg_calls] == ["eigh"]
+
+    def test_moments_refuse_a_correlation_matrix_that_is_not_psd(self):
+        with pytest.raises(InvalidMatrix, match="not PSD: min eigenvalue -1"):
+            Moments(C=np.diag([2.0, -1.0]), mean_sq_norm=1.0)
 
 
 class TestSampleInstances:
