@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import STRUCT_TOL, HullElement, ProjectionMatrix, projector_from_basis
-from .errors import NonTermination, NotInHull, NotOrthonormal
+from .domain import HullElement, ProjectionMatrix, projector_from_basis
+from .errors import NonTermination, NotInHull
 from .seeding import pinned_cumsum
 from .spectral import EigenSystem, sym_eig
 
@@ -33,9 +33,9 @@ class MixtureDecomposition:
     """Convex weights over at most d projectors sharing one eigenbasis.
 
     Component i is the projector onto ``basis[:, columns[i]]``.  It is built
-    (through :func:`projector_from_basis`, fully validated) on first access
-    and cached, so a caller that samples one component pays for one
-    projector, and repeated access returns the same object.
+    (by :func:`projector_from_basis`, which checks those columns orthonormal)
+    on first access and cached, so a caller that samples one component pays
+    for one projector, and repeated access returns the same object.
     """
 
     __slots__ = ("_weights", "basis", "columns", "_projectors")
@@ -85,8 +85,9 @@ def decompose(w, k: int | None = None) -> MixtureDecomposition:
 
     ``w`` is a :class:`HullElement`, or a symmetric matrix or an
     :class:`EigenSystem` with ``k`` given; an eigensystem is used as it is
-    (non-increasing values, orthonormal columns), so a caller that already
-    holds the element's spectrum and basis skips the eigendecomposition.
+    (non-increasing values), so a caller that already holds the element's
+    spectrum and basis skips the eigendecomposition; a component's columns
+    are checked orthonormal when it is built.
     Eigenvalues outside [0, 1] by at most 1e-8 are clipped and the spectrum
     rescaled to trace exactly k before the loop; larger violations raise
     :class:`NotInHull`.  Failure of the residual to vanish within d
@@ -111,10 +112,6 @@ def decompose(w, k: int | None = None) -> MixtureDecomposition:
     clipped *= k / clipped.sum()
     lam = (clipped / k).tolist()  # normalized spectrum, sums to 1
 
-    basis = eig.vectors
-    # One check of the whole basis covers every component's column subset.
-    if np.max(np.abs(basis.T @ basis - np.eye(d))) > STRUCT_TOL:
-        raise NotOrthonormal("eigenbasis columns are not orthonormal to 1e-8")
     weights: list[float] = []
     columns: list[list[int]] = []
 
@@ -143,7 +140,9 @@ def decompose(w, k: int | None = None) -> MixtureDecomposition:
     if max(lam) > ZERO_TOL:
         raise NonTermination(f"residual spectrum did not vanish in {d} iterations")
 
-    return MixtureDecomposition(weights, basis, np.array(columns, dtype=np.intp).reshape(-1, k))
+    return MixtureDecomposition(
+        weights, eig.vectors, np.array(columns, dtype=np.intp).reshape(-1, k)
+    )
 
 
 def sample_component(mix: MixtureDecomposition, rng: np.random.Generator) -> ProjectionMatrix:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .errors import (
 )
 from .spectral import EigenSystem, sym_eig, sym_matrix
 
-# Structural invariants (idempotence, trace) are checked at 1e-8; hull
-# membership at 1e-9.  Both sit well above double-precision eig residuals.
+# Structural invariants (orthonormality, idempotence, trace) are checked at
+# 1e-8; a spectrum's distance from [0, 1] at 1e-9.  Both sit well above
+# double-precision eig residuals.
 STRUCT_TOL = 1e-8
 MEMBER_TOL = 1e-9
 
@@ -92,30 +93,26 @@ def validate_instance(x, spec: DomainSpec) -> Instance:
 
 @dataclass(frozen=True, eq=False)
 class ProjectionMatrix:
-    """Rank-k orthogonal projector.
+    """Rank-k orthogonal projector V V^T, built from V, a d x k basis of its range.
 
-    ``basis`` (d x k, orthonormal columns spanning the range) is carried when
-    known so overlap statistics can be computed without re-factorizing.
+    ``matrix`` is derived from ``basis``: (V V^T + (V V^T)^T) / 2.  The
+    columns are checked orthonormal first (:class:`NotOrthonormal`), then the
+    matrix idempotent with trace k (:class:`InvalidMatrix`), all at
+    ``STRUCT_TOL``.
     """
 
-    matrix: np.ndarray
-    rank: int
-    basis: np.ndarray | None = None
+    basis: np.ndarray
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidMatrix(f"projector must be square, got shape {m.shape}")
-        # A basis is checked first: one that is not orthonormal spans no
-        # projector, and this names the cause.
-        if self.basis is not None:
-            b = self.basis
-            if b.shape != (m.shape[0], self.rank):
-                raise DimMismatch(f"basis shape {b.shape} incompatible with rank {self.rank}")
-            if np.max(np.abs(b.T @ b - np.eye(self.rank))) > STRUCT_TOL:
-                raise NotOrthonormal("projector basis columns are not orthonormal")
-        if np.max(np.abs(m - m.T)) > STRUCT_TOL:
-            raise InvalidMatrix("projector is not symmetric")
+        b = self.basis
+        if b.ndim != 2 or b.shape[1] > b.shape[0]:
+            raise DimMismatch(f"basis must be d x k with k <= d, got shape {b.shape}")
+        if np.max(np.abs(b.T @ b - np.eye(self.rank))) > STRUCT_TOL:
+            raise NotOrthonormal("projector basis columns are not orthonormal")
+        m = b @ b.T
+        m = 0.5 * (m + m.T)
+        object.__setattr__(self, "matrix", m)
         if np.max(np.abs(m @ m - m)) > STRUCT_TOL:
             raise InvalidMatrix("projector is not idempotent to tolerance")
         if abs(float(np.trace(m)) - self.rank) > STRUCT_TOL:
@@ -124,15 +121,12 @@ class ProjectionMatrix:
             )
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
-    def orthonormal_basis(self) -> np.ndarray:
-        """Return a d x k orthonormal basis of the range (recovered if absent)."""
-        if self.basis is not None:
-            return self.basis
-        eig = sym_eig(self.matrix)
-        return eig.vectors[:, : self.rank]
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,37 +164,32 @@ class HullMembershipReport:
         )
 
 
+def within_hull(trace_error: float, lo: float, hi: float) -> bool:
+    """The hull rule: |trace - k| <= ``STRUCT_TOL``, [lo, hi] in [0, 1] within ``MEMBER_TOL``."""
+    return trace_error <= STRUCT_TOL and lo >= -MEMBER_TOL and hi <= 1 + MEMBER_TOL
+
+
 def check_hull_membership(w, k: int) -> HullMembershipReport:
     """Report how far a symmetric matrix is from {spectrum in [0,1], trace k}.
 
-    The trace is held to ``STRUCT_TOL`` and the spectrum to [0, 1] within
-    ``MEMBER_TOL``.  ``w`` is a symmetric matrix or an :class:`EigenSystem`,
-    whose values are read as they are.  Purely diagnostic: never raises for
-    a failing matrix.
+    The verdict is :func:`within_hull`'s.  ``w`` is a symmetric matrix or an
+    :class:`EigenSystem`, whose values are read as they are.  Purely
+    diagnostic: never raises for a failing matrix.
     """
     vals = w.values if isinstance(w, EigenSystem) else np.linalg.eigvalsh(sym_matrix(w))
     trace_error = abs(float(np.sum(vals)) - k)
     lo = float(vals.min())
     hi = float(vals.max())
-    passed = (trace_error <= STRUCT_TOL) and (lo >= -MEMBER_TOL) and (hi <= 1 + MEMBER_TOL)
     return HullMembershipReport(
-        trace_error=trace_error, min_eigenvalue=lo, max_eigenvalue=hi, passed=passed
+        trace_error=trace_error, min_eigenvalue=lo, max_eigenvalue=hi,
+        passed=within_hull(trace_error, lo, hi),
     )
 
 
 def projector_from_basis(v) -> ProjectionMatrix:
-    """Build the projector V V^T from a d x k column-orthonormal matrix.
-
-    :class:`ProjectionMatrix` checks the columns: raises :class:`NotOrthonormal`.
-    """
+    """The projector V V^T of a d x k column-orthonormal matrix V; a vector is read as d x 1."""
     b = np.asarray(v, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
-    d, k = b.shape
-    if k > d:
-        raise DimMismatch(f"basis has more columns ({k}) than rows ({d})")
-    m = b @ b.T
-    return ProjectionMatrix(matrix=0.5 * (m + m.T), rank=k, basis=b)
+    return ProjectionMatrix(b[:, None] if b.ndim == 1 else b)
 
 
 def top_k_projector(m, k: int) -> ProjectionMatrix:

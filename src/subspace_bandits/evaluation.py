@@ -43,9 +43,7 @@ class CoinReport:
 
 
 def loss(pi: ProjectionMatrix, mom: Moments) -> float:
-    """Expected squared distance E||x||^2 - <P, C>; never below -1e-9."""
-    if pi.dim != mom.dim:
-        raise DimMismatch(f"projector dimension {pi.dim} != moments dimension {mom.dim}")
+    """Expected squared distance E||x||^2 - <P, C>; ``frob_inner`` checks the dimensions."""
     return mom.mean_sq_norm - frob_inner(pi.matrix, mom.C)
 
 
@@ -85,7 +83,7 @@ def identified_fraction(pi_hat: ProjectionMatrix, fixture: DistributionSpec) -> 
     if fixture.coin is None:
         raise MissingBasis(f"distribution {fixture.tag!r} carries no coin structure")
     signs = fixture.coin.signs
-    basis = pi_hat.orthonormal_basis()  # (d, k_hat)
+    basis = pi_hat.basis  # (d, k_hat)
     if basis.shape[0] != fixture.d:
         raise DimMismatch(f"projector dimension {basis.shape[0]} != fixture dimension {fixture.d}")
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .decomposition import decompose, sample_component
 from .domain import (
-    STRUCT_TOL, DomainSpec, ProjectionMatrix, check_hull_membership, top_k_projector
+    DomainSpec, ProjectionMatrix, check_hull_membership, top_k_projector, within_hull
 )
 from .errors import (
     AlphaTooLarge,
@@ -233,13 +233,11 @@ def _check_oracle_setup(dist: DistributionSpec, cfg: LearnerConfig) -> None:
 def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False):
     """Average m split-half cross estimates, symmetrize, return the top-k projector.
 
-    The m steps run through the block engine ``split_half_sum``; their
-    average (1/2m) S is the mean of the ``estimate_asym`` terms.
+    The m steps run through the block engine ``split_half_sum``, which refuses an odd r;
+    their average (1/2m) S is the mean of the ``estimate_asym`` terms.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
-    if spec.r % 2 != 0:
-        raise OddBudget(f"bandit-pca needs an even attribute budget, got r={spec.r}")
     if cfg.m < 1:
         raise ValueError(f"bandit-pca needs m >= 1, got {cfg.m}")
     rng = make_rng(cfg.seed)
@@ -306,8 +304,8 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
 
 
 def _check_iterate(stats, step: int) -> None:
-    trace_err, w_min, w_max = stats
-    if trace_err > STRUCT_TOL or w_min < -STRUCT_TOL or w_max > 1 + STRUCT_TOL:
+    if not within_hull(*stats):
+        trace_err, w_min, w_max = stats
         raise NotInHull(
             f"iterate left the hull at step {step}: trace error {trace_err:.3g}, "
             f"spectrum [{w_min:.6g}, {w_max:.6g}]"

@@ -387,8 +387,14 @@ def to_jsonable(dist: DistributionSpec) -> dict:
 
 
 def from_jsonable(doc: dict) -> DistributionSpec:
-    """Inverse of :func:`to_jsonable`; an older coin block's "basis", "G" and "k" go unread."""
-    d = int(doc["d"])
+    """Inverse of :func:`to_jsonable`; an older coin block's "basis", "G" and "k" go unread.
+
+    A ``d`` that is not an integer (a float, JSON true/false) raises ``TypeError``.
+    """
+    d = doc["d"]
+    if isinstance(d, bool) or not hasattr(type(d), "__index__"):
+        raise TypeError(f"fixture field 'd' must be an integer, got {d!r}")
+    d = operator.index(d)
     support = doc["support"]
     points = np.array([entry["x"] for entry in support], dtype=float)
     probs = np.array([entry["p"] for entry in support], dtype=float)

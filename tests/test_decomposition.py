@@ -78,11 +78,23 @@ class TestDecompose:
             decompose(EigenSystem(values=np.array([0.6, 0.5, -0.1]), vectors=np.eye(3)), k=1)
         with pytest.raises(NotInHull):  # trace is not k
             decompose(EigenSystem(values=np.array([0.6, 0.6]), vectors=basis), k=1)
-        with pytest.raises(NotOrthonormal):
-            decompose(EigenSystem(values=np.array([0.5, 0.5]), vectors=basis * (1 + 1e-6)), k=1)
+        skewed = EigenSystem(values=np.array([0.5, 0.5]), vectors=basis * (1 + 1e-6))
+        with pytest.raises(NotOrthonormal):  # the basis is checked where a component is built
+            decompose(skewed, k=1).projector(0)
         # a violation within 1e-8 is clipped and rescaled away
         mix = decompose(EigenSystem(values=np.array([1 + 5e-9, -5e-9]), vectors=basis), k=1)
         assert mix.size == 1 and np.array_equal(mix.weights, [1.0])
+
+    def test_only_the_columns_a_component_uses_are_checked(self):
+        vectors = np.eye(3)
+        vectors[:, 2] *= 1 + 1e-6  # off orthonormal by 2e-6, above STRUCT_TOL; its weight is 0
+        mix = decompose(EigenSystem(values=np.array([0.5, 0.5, 0.0]), vectors=vectors), k=1)
+        assert [c.tolist() for c in mix.columns] == [[0], [1]]
+        drawn = sample_component(mix, make_rng(20))
+        assert any(drawn is mix.projector(i) for i in range(mix.size))
+        assert np.array_equal(mix.reconstruct(), np.diag([0.5, 0.5, 0.0]))
+        with pytest.raises(NotOrthonormal):
+            projector_from_basis(vectors[:, [2]])
 
     def test_eigensystem_of_the_matrix_gives_the_same_mixture(self):
         rng = make_rng(19)
@@ -259,5 +271,6 @@ class TestOnDemandProjectors:
             return EigenSystem(values=eig.values, vectors=vectors)
 
         monkeypatch.setattr(decomposition, "sym_eig", skewed_eig)
+        mix = decompose(h)  # column 0 carries the largest eigenvalue: component 0 uses it
         with pytest.raises(NotOrthonormal):
-            decompose(h)
+            mix.projector(0)

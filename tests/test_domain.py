@@ -13,6 +13,7 @@ from subspace_bandits.domain import (
 from subspace_bandits.errors import (
     DimMismatch,
     InfNormViolation,
+    InvalidMatrix,
     NormViolation,
     NotInHull,
     NotOrthonormal,
@@ -135,25 +136,39 @@ class TestHullMembership:
 
 
 class TestProjectionMatrixType:
+    # Columns pass the orthonormality check (off by 0.9e-8 <= STRUCT_TOL), yet
+    # their products can leave the matrix checks' 1e-8, so those checks still bite.
+    DELTA = 0.9e-8
+
     def test_rejects_non_idempotent(self):
-        with pytest.raises(ValueError):
-            ProjectionMatrix(matrix=np.diag([0.5, 0.5]), rank=1)
+        # V = H S / sqrt(2) with S^2 = I + delta J: V^T V - I = delta J, and
+        # V V^T = diag(1 + 2 delta, 1) is 2 delta from idempotent.
+        c = (np.sqrt(1 + 2 * self.DELTA) - 1) / 2
+        v = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2) @ (np.eye(2) + c * np.ones((2, 2)))
+        with pytest.raises(InvalidMatrix, match="not idempotent"):
+            ProjectionMatrix(v)
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError):
-            ProjectionMatrix(matrix=np.diag([1.0, 1.0]), rank=1)
+        # two columns of squared norm 1 + delta: trace 2 + 2 delta, idempotent within delta
+        with pytest.raises(InvalidMatrix, match="differs from rank 2"):
+            ProjectionMatrix(np.sqrt(1 + self.DELTA) * np.eye(3, 2))
+
+    def test_matrix_rank_and_dim_come_from_the_basis(self):
+        v = random_orthonormal(rng_for(25), 5, 2)
+        pi = ProjectionMatrix(v)
+        m = v @ v.T
+        assert np.array_equal(pi.matrix, 0.5 * (m + m.T))
+        assert pi.basis is v
+        assert (pi.rank, pi.dim) == (2, 5)
 
     def test_a_basis_that_is_not_orthonormal_is_named_before_the_matrix_checks(self):
         b = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotOrthonormal):
-            ProjectionMatrix(matrix=b @ b.T, rank=2, basis=b)
+            ProjectionMatrix(b)
 
-    def test_orthonormal_basis_recovery(self):
-        rng = rng_for(25)
-        v = random_orthonormal(rng, 5, 2)
-        pi = ProjectionMatrix(matrix=v @ v.T, rank=2, basis=None)
-        b = pi.orthonormal_basis()
-        assert np.max(np.abs(b @ b.T - pi.matrix)) <= 1e-8
+    def test_a_basis_with_more_columns_than_rows_is_refused(self):
+        with pytest.raises(DimMismatch):
+            projector_from_basis(np.eye(2, 3))
 
 
 class TestTopKProjector:

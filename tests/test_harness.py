@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -26,7 +27,14 @@ from subspace_bandits.harness import (
     run_trial,
 )
 from subspace_bandits.evaluation import excess_loss
-from subspace_bandits.learners import LearnerConfig, bandit_pca, full_info_pca, mbeg, mbgd
+from subspace_bandits.learners import (
+    LearnerConfig,
+    bandit_pca,
+    full_info_pca,
+    mbeg,
+    mbeg_min_budget,
+    mbgd,
+)
 from subspace_bandits.oracles import (
     coin_fixture,
     default_coin_basis,
@@ -230,6 +238,48 @@ class TestRunSweep:
         ]
         inversions = sum(1 for a, b in zip(medians, medians[1:]) if b > a + 1e-12)
         assert inversions <= 1, medians
+
+
+def _dyadic_sweep(algo, d, r, m, trials, seed=3):
+    return ExperimentConfig(
+        domain=DomainSpec(d=d, k=1, r=r, G=1.0),
+        distribution=dyadic_fixture(d, s=3, eps=0.25, c=4.0),
+        algo=algo, m_values=(m,), trials=trials, base_seed=seed,
+    )
+
+
+# Axis-aligned sweeps: every matrix one of their trials diagonalises is
+# diagonal, so the replayed bytes do not depend on LAPACK's rounding.
+REPLAY_SWEEPS = {
+    # the benchmark's split-half cells, 2 trials each
+    "split-half": lambda: [
+        _dyadic_sweep(algo, 10, r, 6400, 2) for algo in ("mbgd", "bandit-pca") for r in (2, 4)
+    ],
+    # mbeg at d=16 and the default budget
+    "mbeg-d16": lambda: [
+        _dyadic_sweep("mbeg", 16, 2, mbeg_min_budget(DomainSpec(d=16, k=1, r=2, G=1.0)), 2)
+    ],
+    "dyadic-demo": lambda: [harness.dyadic_demo_config(trials=20)],
+}
+# sha256 over "m,trial,seed,excess_loss.hex()" lines.  A change to the order
+# in which draws are consumed changes these; it must update them together
+# with the README and CHANGES.md.
+REPLAY_DIGESTS = {
+    "split-half": "81c7e85ed6b528054e84bf4a1058fa42aebed5584b1432431b2dfdd0266614c8",
+    "mbeg-d16": "239e8513aeef6fab9876948b7230d1c84acf560f561bedea9278058495884128",
+    "dyadic-demo": "55879df58e583a86a66bae1b70e7b44aa2f34e7d126b9aaff1967d2f3b263d8f",
+}
+
+
+class TestReplayPin:
+    @pytest.mark.parametrize("name", list(REPLAY_SWEEPS))
+    def test_replay_bytes_are_pinned(self, name):
+        h = hashlib.sha256()
+        for cfg in REPLAY_SWEEPS[name]():
+            for rec in run_sweep(cfg):
+                assert rec.error is None, rec.error
+                h.update(f"{rec.m},{rec.trial},{rec.seed},{rec.excess_loss.hex()}\n".encode())
+        assert h.hexdigest() == REPLAY_DIGESTS[name]
 
 
 class TestCsv:
@@ -728,6 +778,21 @@ class TestCli:
             refusal = f"error: fixture file {str(bad)!r} is not a distribution"
             assert captured.err.startswith(refusal)
             assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("d", ["2.9", "true"], ids=["float", "bool"])
+    def test_fixtures_and_run_refuse_a_file_whose_d_is_not_an_integer(self, d, capsys, tmp_path):
+        # A 2-d support: read with int(), d = 2.9 would load as 2 and run.
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"d": {d}, "support": [{{"x": [1.0, 0.0], "p": 1.0}}]}}')
+        run = ["run", "--algo", "mbgd", "--d", "2", "--k", "1", "--r", "2", "--G", "1",
+               "--m", "10", "--trials", "1", "--out", str(tmp_path / "run.csv")]
+        for argv in (["fixtures", str(bad), "--d", "2", "--out", "-"], [*run, "--dist", str(bad)]):
+            assert cli_main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: fixture file {str(bad)!r} is not a distribution")
+            assert "fixture field 'd' must be an integer" in captured.err
+        assert not (tmp_path / "run.csv").exists()
 
     def test_fixtures_rejects_a_non_sign_character(self, capsys, tmp_path):
         argv = ["fixtures", "coin:alpha=0.5,b=+x", "--d", "4", "--k", "2"]

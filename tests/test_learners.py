@@ -734,6 +734,17 @@ class TestMbeg:
         with pytest.raises(NotInHull):
             mbeg(dist, cfg)
 
+    def test_an_iterate_outside_the_hull_raises_at_the_average_rule(self, monkeypatch):
+        # Each iterate is held to the rule the final gate applies to their
+        # average: a spectrum 5e-9 above 1 is within 1e-8 but not MEMBER_TOL.
+        overshoot = np.array([0.0, 0.0, 0.0, 1 + 5e-9])
+        assert not check_hull_membership(EigenSystem(overshoot, np.eye(4)), k=1).passed
+        monkeypatch.setattr(learners, "entropic_project", lambda mu, k: overshoot.copy())
+        dist, spec = point_mass(4)
+        cfg = LearnerConfig(spec=spec, m=200, seed=1, eta_override=1e-300, alpha_override=0.5)
+        with pytest.raises(NotInHull, match="iterate left the hull"):
+            mbeg(dist, cfg)
+
     def test_converges_on_planted_coordinate(self):
         dist = dyadic_fixture(6, s=4, eps=0.25, c=4.0)
         spec = DomainSpec(d=6, k=1, r=2, G=1.0)

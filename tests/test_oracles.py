@@ -484,6 +484,13 @@ class TestJsonRoundTrip:
             old, new = identified_fraction(pi, back), identified_fraction(pi, dist)
             assert np.array_equal(old.theta, new.theta) and old.beta == new.beta
 
+    @pytest.mark.parametrize("d", [2.9, True], ids=["float", "bool"])
+    def test_a_document_whose_d_is_not_an_integer_is_refused(self, d):
+        # int() would read 2.9 as 2 and true as 1: the fixture would change dimension silently
+        doc = {"d": d, "support": [{"x": [1.0, 0.0], "p": 1.0}]}
+        with pytest.raises(TypeError, match=f"fixture field 'd' must be an integer, got {d!r}"):
+            from_jsonable(doc)
+
     def test_a_coin_document_needs_two_points_per_sign(self):
         doc = {"d": 4, "support": [{"x": [0.0, 1.0, 0.0, 0.0], "p": 1.0}],
                "coin": {"signs": [1], "alpha": 0.4}}
