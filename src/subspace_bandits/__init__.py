@@ -10,8 +10,6 @@ experiment harness with a CLI.
 from .decomposition import MixtureDecomposition, decompose, sample_component
 from .domain import (
     DomainSpec,
-    HullElement,
-    Instance,
     ProjectionMatrix,
     check_hull_membership,
     projector_from_basis,
@@ -47,7 +45,6 @@ from .learners import (
 from .oracles import (
     DistributionSpec,
     Moments,
-    PartialObservation,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
@@ -70,14 +67,11 @@ __all__ = [
     "DomainSpec",
     "EigenSystem",
     "ExperimentConfig",
-    "HullElement",
-    "Instance",
     "LearnerConfig",
     "LearnerTrace",
     "LossReport",
     "MixtureDecomposition",
     "Moments",
-    "PartialObservation",
     "ProjectionMatrix",
     "TrialRecord",
     "bandit_pca",

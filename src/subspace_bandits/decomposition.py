@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import HullElement, ProjectionMatrix, projector_from_basis
+from .domain import ProjectionMatrix, projector_from_basis
 from .errors import NonTermination, NotInHull
 from .seeding import pinned_cumsum
 from .spectral import EigenSystem, sym_eig
@@ -80,24 +80,19 @@ class MixtureDecomposition:
         return out
 
 
-def decompose(w, k: int | None = None) -> MixtureDecomposition:
-    """Decompose a hull element into at most d weighted rank-k projectors.
+def decompose(w, k: int) -> MixtureDecomposition:
+    """Decompose a hull element of trace k into at most d weighted rank-k projectors.
 
-    ``w`` is a :class:`HullElement`, or a symmetric matrix or an
-    :class:`EigenSystem` with ``k`` given; an eigensystem is used as it is
-    (non-increasing values), so a caller that already holds the element's
-    spectrum and basis skips the eigendecomposition; a component's columns
-    are checked orthonormal when it is built.
+    ``w`` is a symmetric matrix or an :class:`EigenSystem`; an eigensystem
+    is used as it is (non-increasing values), so a caller that already holds
+    the element's spectrum and basis skips the eigendecomposition; a
+    component's columns are checked orthonormal when it is built.
     Eigenvalues outside [0, 1] by at most 1e-8 are clipped and the spectrum
     rescaled to trace exactly k before the loop; larger violations raise
     :class:`NotInHull`.  Failure of the residual to vanish within d
     iterations raises :class:`NonTermination` (an internal tolerance bug,
     never silent truncation).
     """
-    if isinstance(w, HullElement):
-        w, k = w.matrix, w.k
-    elif k is None:
-        raise ValueError("k is required when w is not a HullElement")
     eig = w if isinstance(w, EigenSystem) else sym_eig(w)
     d = eig.dim
     vals = eig.values

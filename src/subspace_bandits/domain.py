@@ -19,7 +19,6 @@ from .errors import (
     InfNormViolation,
     InvalidMatrix,
     NormViolation,
-    NotInHull,
     NotOrthonormal,
 )
 from .spectral import EigenSystem, sym_eig, sym_matrix
@@ -64,18 +63,12 @@ class DomainSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Instance:
-    """A validated domain vector; construct via :func:`validate_instance`."""
+def validate_instance(x, spec: DomainSpec) -> np.ndarray:
+    """Check a vector against the domain constraints and return it as a float array.
 
-    x: np.ndarray
-
-
-def validate_instance(x, spec: DomainSpec) -> Instance:
-    """Check a vector against the domain constraints.
-
-    Raises :class:`NormViolation` (carrying the squared norm) or
-    :class:`InfNormViolation`; returns an :class:`Instance` on success.
+    Raises :class:`DimMismatch` for a wrong length, :class:`InvalidMatrix`
+    for a non-finite entry, :class:`NormViolation` (carrying the squared
+    norm) or :class:`InfNormViolation`.
     """
     v = np.asarray(x, dtype=float)
     if v.shape != (spec.d,):
@@ -88,7 +81,7 @@ def validate_instance(x, spec: DomainSpec) -> Instance:
     inf = float(np.max(np.abs(v))) if v.size else 0.0
     if inf > 1 + 1e-12:
         raise InfNormViolation(f"coordinate magnitude {inf:.12g} exceeds 1")
-    return Instance(x=v)
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,23 +120,6 @@ class ProjectionMatrix:
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class HullElement:
-    """Symmetric matrix with spectrum in [0, 1] and trace k (a projector mixture)."""
-
-    matrix: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        report = check_hull_membership(self.matrix, self.k)
-        if not report.passed:
-            raise NotInHull(str(report))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import DomainSpec
 from .errors import BadAlpha, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
-from .oracles import PROB_TOL, DistributionSpec, PartialObservation, observe_block
+from .oracles import PROB_TOL, DistributionSpec, observe_block
 from .seeding import pinned_cumsum
 
 STEP_CHUNK = 1024  # steps whose random draws a block engine takes at once
@@ -68,25 +68,26 @@ def draw_uniform_indices(d: int, r: int, rng: np.random.Generator) -> np.ndarray
     return rng.integers(0, d, size=r)
 
 
-def split_halves(obs: PartialObservation, spec: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled half-sums (x_hat, y_hat) of one observation (budget = spec.r, even).
+def split_halves(indices, values, spec: DomainSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The scaled half-sums (x_hat, y_hat) of one step's r = spec.r readings (r even).
 
-    x_hat accumulates (2d/r) * value * e_index over the first r/2 draws
+    ``values[t]`` is the reading of coordinate ``indices[t]``.  x_hat
+    accumulates (2d/r) * value * e_index over the first r/2 readings
     (duplicate indices accumulate additively), y_hat over the second half.
     Each half is a dense length-d vector with at most r/2 nonzero entries.
     """
     r = spec.r
     _check_split_budget(r)
-    if obs.budget != r:
-        raise DimMismatch(f"observation has {obs.budget} coordinates, expected r={r}")
+    if len(indices) != r:
+        raise DimMismatch(f"observation has {len(indices)} coordinates, expected r={r}")
     scale = 2.0 * spec.d / r
     half = r // 2
     x_hat = np.zeros(spec.d)
     y_hat = np.zeros(spec.d)
     for t in range(half):
-        x_hat[obs.indices[t]] += scale * obs.values[t]
+        x_hat[indices[t]] += scale * values[t]
     for t in range(half, r):
-        y_hat[obs.indices[t]] += scale * obs.values[t]
+        y_hat[indices[t]] += scale * values[t]
     return x_hat, y_hat
 
 
@@ -273,17 +274,15 @@ class MbegPairSampler:
         return pair_price(diag[s], diag[q], self._d, self._alpha, self._k)
 
 
-def mbeg_estimate(
-    s: int, q: int, x_s: float, x_q: float, p: float, d: int | None = None
-) -> SparseEstimate:
+def mbeg_estimate(s: int, q: int, x_s: float, x_q: float, p: float, d: int) -> SparseEstimate:
     """Importance-weighted single-pair estimate: ``importance_weight`` at (s, q) and (q, s).
 
     For the coincident pair s == q the two entries are one; this convention
     is what makes the exact enumeration identity
-    sum_{(s,q)} p_{s,q} C_hat(s,q) = x x^T hold.  ``d`` fixes the ambient
-    dimension of the estimate (defaults to the smallest that fits).
+    sum_{(s,q)} p_{s,q} C_hat(s,q) = x x^T hold.  ``d`` is the ambient
+    dimension of the estimate.
     """
     if p <= 0:
         raise ZeroProbability(f"pair ({s}, {q}) has probability {p:g}")
     terms = ((int(s), int(q), float(importance_weight(s, q, float(x_s) * float(x_q), p))),)
-    return SparseEstimate(dim=d if d is not None else max(s, q) + 1, terms=terms, symmetric=True)
+    return SparseEstimate(dim=d, terms=terms, symmetric=True)

@@ -36,7 +36,7 @@ from operator import attrgetter, index
 import numpy as np
 
 from .domain import DomainSpec
-from .errors import AlphaTooLarge, ConfigError, SubspaceBanditError
+from .errors import AlphaTooLarge, BudgetNotTwo, ConfigError, SubspaceBanditError
 from .evaluation import excess_loss
 from .learners import (
     LearnerConfig,
@@ -108,12 +108,10 @@ class ExperimentConfig:
         if self.algo in ("bandit-pca", "mbgd") and self.domain.r % 2 != 0:
             raise ConfigError(f"{self.algo} needs an even attribute budget, got r={self.domain.r}")
         if self.algo == "mbeg":
-            if self.domain.r != 2:
-                raise ConfigError(f"mbeg supports r = 2 only, got r={self.domain.r}")
             for lcfg in learner_configs:
                 try:
                     mbeg_rates(lcfg)
-                except AlphaTooLarge as exc:
+                except (AlphaTooLarge, BudgetNotTwo) as exc:
                     raise ConfigError(f"mbeg: {exc}") from exc
 
 

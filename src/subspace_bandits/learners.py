@@ -186,9 +186,15 @@ def mbeg_rates(cfg: LearnerConfig) -> tuple[float, float]:
 
     The default alpha = eta d^2 / 2 is taken from the eta actually used and
     must not exceed 1/2; with the default eta that needs
-    m >= ``mbeg_min_budget``.  Needs m >= 1.
+    m >= ``mbeg_min_budget``.  This states all of mbeg's budget rules: r = 2
+    (:class:`BudgetNotTwo`), m >= 1 (``ValueError``) and alpha <= 1/2
+    (:class:`AlphaTooLarge`).
     """
     spec = cfg.spec
+    if spec.r != 2:
+        raise BudgetNotTwo(f"the attribute budget must be r = 2, got r={spec.r}")
+    if cfg.m < 1:
+        raise ValueError(f"mbeg needs m >= 1, got {cfg.m}")
     eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
     if cfg.alpha_override is not None:
         return eta, cfg.alpha_override
@@ -277,19 +283,19 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     acc = np.zeros((spec.d, spec.d))
     for i in range(cfg.m):
         idx = draw_uniform_indices(spec.d, spec.r, rng)
-        obs = observe(dist, idx, rng)
+        values = observe(dist, idx, rng)
         # A half that reads only zeros makes x_hat or y_hat zero, so the
         # estimate has no terms: only steps with a nonzero reading in each
         # half build it.  Duplicate indices repeat one reading, so a nonzero
         # reading always leaves its half-sum nonzero.
-        if obs.values[:half].any() and obs.values[half:].any():
-            for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
+        if values[:half].any() and values[half:].any():
+            for a, b, v in estimate_sym(split_halves(idx, values, spec)).terms:
                 acc[a, b] += v
                 if a != b:
                     acc[b, a] += v
         if trace is not None:
             trace.indices[i] = idx
-            trace.values[i] = obs.values
+            trace.values[i] = values
     w_end = (spec.k / spec.d) * np.eye(spec.d) + eta * acc
     if trace is not None:
         trace.pre_projection_matrix = w_end.copy()
@@ -342,11 +348,7 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
-    if spec.r != 2:
-        raise BudgetNotTwo(f"mbeg supports r = 2 only, got r={spec.r}")
-    if cfg.m < 1:
-        raise ValueError(f"mbeg needs m >= 1, got {cfg.m}")
-    eta, alpha = mbeg_rates(cfg)
+    eta, alpha = mbeg_rates(cfg)  # refuses r != 2 and m < 1
     rng = make_rng(cfg.seed)
     windows = [] if return_trace else None  # each mapped window's trace rows
 

@@ -119,22 +119,6 @@ class DistributionSpec:
         return mom
 
 
-@dataclass(eq=False, slots=True)
-class PartialObservation:
-    """Requested coordinates of a single draw; all values come from one vector.
-
-    A slotted, unfrozen record: the oracle builds one per query, and a frozen
-    dataclass's initializer would cost about as much as the draw itself.
-    """
-
-    indices: tuple[int, ...]
-    values: np.ndarray
-
-    @property
-    def budget(self) -> int:
-        return len(self.indices)
-
-
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Exact second moments: C = E[x x^T] and E||x||^2."""
@@ -162,9 +146,10 @@ class Moments:
         return eig
 
 
-def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> PartialObservation:
-    """Draw one vector from the distribution and reveal the requested coordinates.
+def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> np.ndarray:
+    """Draw one vector from the distribution and return its requested coordinates.
 
+    The result is the (r,) array of readings, in the order of ``indices``.
     Duplicated indices are allowed and all refer to the same single draw.
     Indices must be integers (Python or numpy); anything else, a float
     included, raises :class:`BadIndex` rather than being truncated.  The
@@ -180,7 +165,7 @@ def observe(dist: DistributionSpec, indices, rng: np.random.Generator) -> Partia
             raise BadIndex(f"index {i} outside [0, {d})")
     # The cumulative probabilities end at exactly 1.0 (``pinned_cumsum``): no row is out of range.
     row = bisect.bisect_right(dist._cum_list, rng.random())
-    return PartialObservation(indices=idx, values=dist._rows[row].take(idx))
+    return dist._rows[row].take(idx)
 
 
 def observe_block(dist: DistributionSpec, indices, u) -> np.ndarray:
@@ -222,7 +207,7 @@ def make_finite_support(points, spec: DomainSpec, tag: str = "custom") -> Distri
     vecs = []
     probs = []
     for x, p in points:
-        vecs.append(validate_instance(x, spec).x)
+        vecs.append(validate_instance(x, spec))
         probs.append(float(p))
     return DistributionSpec(
         d=spec.d, points=np.array(vecs), probs=np.array(probs), tag=tag

@@ -35,7 +35,6 @@ from subspace_bandits.learners import (
     mbeg,
 )
 from subspace_bandits.oracles import (
-    PartialObservation,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
@@ -54,8 +53,8 @@ from util import (
 
 
 def obs_from(x, indices):
-    x = np.asarray(x, dtype=float)
-    return PartialObservation(indices=tuple(indices), values=x[list(indices)].copy())
+    """The (indices, readings) of one step that asks ``x`` for ``indices``."""
+    return indices, np.asarray(x, dtype=float)[list(indices)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,7 @@ def test_criterion_01_exact_estimator_unbiasedness(criterion_report):
         total = np.zeros((4, 4))
         count = 0
         for tup in itertools.product(range(4), repeat=r):
-            total += estimate_sym(split_halves(obs_from(x, tup), spec)).to_dense()
+            total += estimate_sym(split_halves(*obs_from(x, tup), spec)).to_dense()
             count += 1
         worst = max(worst, float(np.max(np.abs(total / count - np.outer(x, x)))))
         # The block engine bandit_pca runs, fed every index tuple as one block
@@ -204,7 +203,7 @@ def test_criterion_02_split_half_norm_bound(criterion_report):
         x = rng.standard_normal(d)
         x /= np.linalg.norm(x)  # the G = 1 sphere sits inside the unit cube
         idx = draw_uniform_indices(d, 2, rng)
-        est = estimate_sym(split_halves(obs_from(x, idx), spec))
+        est = estimate_sym(split_halves(*obs_from(x, idx), spec))
         worst = max(worst, spectral_norm(est.to_dense()))
     elapsed = time.perf_counter() - start
     ok = worst <= bound + 1e-9 and elapsed < 10.0
@@ -258,12 +257,12 @@ def test_criterion_04_decomposition(criterion_report):
         d = int(rng.integers(2, 9))
         k = int(rng.integers(1, min(3, d) + 1))
         h = random_hull_element(rng, d, k)
-        mix = decompose(h)
+        mix = decompose(h, k)
         assert mix.size <= d
         w = mix.weights
         assert w.min() >= -1e-12
         worst_weight_sum = max(worst_weight_sum, abs(float(w.sum()) - 1.0))
-        worst_recon = max(worst_recon, float(np.max(np.abs(mix.reconstruct() - h.matrix))))
+        worst_recon = max(worst_recon, float(np.max(np.abs(mix.reconstruct() - h))))
         for _, proj in mix.components:
             assert proj.rank == k
             assert np.max(np.abs(proj.matrix @ proj.matrix - proj.matrix)) <= 1e-8
@@ -417,12 +416,12 @@ def test_criterion_10_expected_output_identity(criterion_report):
     worst = 0.0
     for _ in range(20):
         h = random_hull_element(rng, 6, 2)
-        mix = decompose(h)
+        mix = decompose(h, 2)
         total = np.zeros((6, 6))
         n = 10_000
         for _ in range(n):
             total += sample_component(mix, rng).matrix
-        worst = max(worst, float(np.max(np.abs(total / n - h.matrix))))
+        worst = max(worst, float(np.max(np.abs(total / n - h))))
     elapsed = time.perf_counter() - start
     ok = worst <= 0.02 and elapsed < 30.0
     criterion_report(

@@ -3,7 +3,7 @@ import pytest
 
 from subspace_bandits import decomposition
 from subspace_bandits.decomposition import decompose, sample_component
-from subspace_bandits.domain import HullElement, check_hull_membership, projector_from_basis
+from subspace_bandits.domain import check_hull_membership, projector_from_basis
 from subspace_bandits.errors import NotInHull, NotOrthonormal
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.spectral import EigenSystem, sym_eig
@@ -13,7 +13,7 @@ from util import argsort_peel, random_hull_element, random_hull_spectrum, random
 
 class TestDecompose:
     def test_half_half(self):
-        mix = decompose(HullElement(matrix=np.diag([0.5, 0.5]), k=1))
+        mix = decompose(np.diag([0.5, 0.5]), 1)
         assert mix.size == 2
         weights = sorted(w for w, _ in mix.components)
         assert weights == pytest.approx([0.5, 0.5])
@@ -22,7 +22,7 @@ class TestDecompose:
 
     def test_projector_is_single_component(self):
         pi = random_projector(make_rng(1), 5, 2)
-        mix = decompose(HullElement(matrix=pi.matrix, k=2))
+        mix = decompose(pi.matrix, 2)
         assert mix.size == 1
         assert mix.components[0][0] == pytest.approx(1.0)
         assert np.max(np.abs(mix.components[0][1].matrix - pi.matrix)) <= 1e-8
@@ -32,39 +32,39 @@ class TestDecompose:
         rng = make_rng(10 + d)
         for _ in range(60):
             h = random_hull_element(rng, d, k)
-            mix = decompose(h)
+            mix = decompose(h, k)
             assert mix.size <= d
             w = mix.weights
             assert w.min() >= -1e-12
             assert abs(w.sum() - 1.0) <= 1e-9
-            assert np.max(np.abs(mix.reconstruct() - h.matrix)) <= 1e-8
+            assert np.max(np.abs(mix.reconstruct() - h)) <= 1e-8
             for _, proj in mix.components:
                 assert proj.rank == k
                 assert np.max(np.abs(proj.matrix @ proj.matrix - proj.matrix)) <= 1e-8
 
     def test_components_share_eigenbasis(self):
         h = random_hull_element(make_rng(3), 6, 2)
-        mix = decompose(h)
+        mix = decompose(h, 2)
         for _, proj in mix.components:
-            commutator = proj.matrix @ h.matrix - h.matrix @ proj.matrix
+            commutator = proj.matrix @ h - h @ proj.matrix
             assert np.max(np.abs(commutator)) <= 1e-8
 
     def test_every_peeled_weight_is_positive(self):
         # each peel removes its weight from the residual mass, which starts at 1
         h = random_hull_element(make_rng(4), 7, 2)
-        assert np.all(decompose(h).weights > 0)
+        assert np.all(decompose(h, 2).weights > 0)
 
     def test_idempotent_in_distribution(self):
         h = random_hull_element(make_rng(5), 6, 2)
-        first = decompose(h).reconstruct()
-        second = decompose(HullElement(matrix=0.5 * (first + first.T), k=2)).reconstruct()
+        first = decompose(h, 2).reconstruct()
+        second = decompose(0.5 * (first + first.T), 2).reconstruct()
         assert np.max(np.abs(second - first)) <= 1e-8
 
     def test_tolerates_tiny_spectrum_violations(self):
         h = random_hull_element(make_rng(6), 5, 2)
-        dirty = h.matrix + 1e-9 * np.eye(5)
+        dirty = h + 1e-9 * np.eye(5)
         mix = decompose(dirty, k=2)
-        assert np.max(np.abs(mix.reconstruct() - h.matrix)) <= 1e-7
+        assert np.max(np.abs(mix.reconstruct() - h)) <= 1e-7
 
     def test_rejects_matrix_outside_hull(self):
         with pytest.raises(NotInHull):
@@ -100,20 +100,16 @@ class TestDecompose:
         rng = make_rng(19)
         for d, k in [(4, 1), (6, 2), (8, 3)]:
             h = random_hull_element(rng, d, k)
-            from_matrix = decompose(h)
-            handed = decompose(sym_eig(h.matrix), k)
+            from_matrix = decompose(h, k)
+            handed = decompose(sym_eig(h), k)
             assert np.array_equal(handed.weights, from_matrix.weights)
             assert np.array_equal(handed.basis, from_matrix.basis)
             assert [c.tolist() for c in handed.columns] == [c.tolist() for c in from_matrix.columns]
 
-    def test_requires_k_for_raw_matrix(self):
-        with pytest.raises(ValueError):
-            decompose(np.diag([0.5, 0.5]))
-
     def test_uniform_initializer_decomposition(self):
         # (k/d) I decomposes into equal-weight coordinate projectors
         d, k = 5, 1
-        mix = decompose(HullElement(matrix=(k / d) * np.eye(d), k=k))
+        mix = decompose((k / d) * np.eye(d), k)
         assert mix.size == d
         assert np.allclose(mix.weights, 1 / d)
         picked = sorted(int(np.argmax(np.diag(p.matrix))) for _, p in mix.components)
@@ -191,13 +187,13 @@ class TestPlainFloatPeel:
 class TestSampleComponent:
     def test_single_component(self):
         pi = random_projector(make_rng(7), 4, 1)
-        mix = decompose(HullElement(matrix=pi.matrix, k=1))
+        mix = decompose(pi.matrix, 1)
         rng = make_rng(8)
         for _ in range(10):
             assert sample_component(mix, rng) is mix.components[0][1]
 
     def test_even_split_frequencies(self):
-        mix = decompose(HullElement(matrix=np.diag([0.5, 0.5]), k=1))
+        mix = decompose(np.diag([0.5, 0.5]), 1)
         rng = make_rng(9)
         n = 100_000
         first = sum(
@@ -207,18 +203,18 @@ class TestSampleComponent:
 
     def test_mean_matches_mixture(self):
         h = random_hull_element(make_rng(11), 5, 2)
-        mix = decompose(h)
+        mix = decompose(h, 2)
         rng = make_rng(12)
         total = np.zeros((5, 5))
         n = 10_000
         for _ in range(n):
             total += sample_component(mix, rng).matrix
-        assert np.max(np.abs(total / n - h.matrix)) <= 0.02
+        assert np.max(np.abs(total / n - h)) <= 0.02
 
     def test_sampled_output_is_valid_projector(self):
         h = random_hull_element(make_rng(13), 6, 3)
         rng = make_rng(14)
-        pi = sample_component(decompose(h), rng)
+        pi = sample_component(decompose(h, 3), rng)
         assert check_hull_membership(pi.matrix, k=3).passed
 
 
@@ -237,7 +233,7 @@ class TestOnDemandProjectors:
 
     def test_sampling_builds_exactly_one_projector(self, builds):
         h = random_hull_element(make_rng(15), 20, 1)
-        mix = decompose(h)
+        mix = decompose(h, 1)
         assert mix.size > 1
         assert builds == []
         drawn = sample_component(mix, make_rng(16))
@@ -252,9 +248,9 @@ class TestOnDemandProjectors:
         rng = make_rng(17)
         for d, k in [(5, 1), (8, 2), (20, 1), (12, 3)]:
             h = random_hull_element(rng, d, k)
-            mix = decompose(h)
+            mix = decompose(h, k)
             drawn = sample_component(mix, rng)
-            basis = sym_eig(h.matrix).vectors
+            basis = sym_eig(h).vectors
             pos = next(i for i in range(mix.size) if mix.projector(i) is drawn)
             eager = projector_from_basis(basis[:, sorted(mix.columns[pos])])
             assert np.array_equal(drawn.matrix, eager.matrix)
@@ -271,6 +267,6 @@ class TestOnDemandProjectors:
             return EigenSystem(values=eig.values, vectors=vectors)
 
         monkeypatch.setattr(decomposition, "sym_eig", skewed_eig)
-        mix = decompose(h)  # column 0 carries the largest eigenvalue: component 0 uses it
+        mix = decompose(h, 2)  # column 0 carries the largest eigenvalue: component 0 uses it
         with pytest.raises(NotOrthonormal):
             mix.projector(0)

@@ -3,7 +3,6 @@ import pytest
 
 from subspace_bandits.domain import (
     DomainSpec,
-    HullElement,
     ProjectionMatrix,
     check_hull_membership,
     projector_from_basis,
@@ -15,7 +14,6 @@ from subspace_bandits.errors import (
     InfNormViolation,
     InvalidMatrix,
     NormViolation,
-    NotInHull,
     NotOrthonormal,
 )
 
@@ -55,8 +53,8 @@ class TestDomainSpec:
 class TestValidateInstance:
     def test_basis_vector_ok(self):
         spec = DomainSpec(d=3, k=1, r=2, G=1.0)
-        inst = validate_instance([1.0, 0.0, 0.0], spec)
-        assert np.array_equal(inst.x, np.array([1.0, 0.0, 0.0]))
+        x = validate_instance([1.0, 0.0, 0.0], spec)
+        assert x.dtype == np.float64 and np.array_equal(x, np.array([1.0, 0.0, 0.0]))
 
     def test_norm_violation_carries_value(self):
         spec = DomainSpec(d=2, k=1, r=2, G=1.0)
@@ -124,15 +122,6 @@ class TestHullMembership:
         for k in (1, 2):
             pi = random_projector(rng, 5, k)
             assert check_hull_membership(pi.matrix, k=k).passed
-
-    def test_projector_is_hull_element(self):
-        rng = rng_for(24)
-        pi = random_projector(rng, 6, 2)
-        HullElement(matrix=pi.matrix, k=2)  # extreme point: must not raise
-
-    def test_hull_element_rejects_outside(self):
-        with pytest.raises(NotInHull):
-            HullElement(matrix=np.diag([1.5, 0.5]), k=2)
 
 
 class TestProjectionMatrixType:

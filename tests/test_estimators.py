@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import BadAlpha, OddBudget, ZeroProbability
+from subspace_bandits.errors import BadAlpha, DimMismatch, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     MbegPairSampler,
     PairProbabilities,
@@ -20,7 +20,7 @@ from subspace_bandits.estimators import (
     split_half_sum,
     split_halves,
 )
-from subspace_bandits.oracles import DistributionSpec, PartialObservation
+from subspace_bandits.oracles import DistributionSpec
 from subspace_bandits.seeding import make_rng
 
 from util import (
@@ -34,8 +34,8 @@ from util import (
 
 
 def obs_from(x, indices):
-    x = np.asarray(x, dtype=float)
-    return PartialObservation(indices=tuple(indices), values=x[list(indices)].copy())
+    """The (indices, readings) of one step that asks ``x`` for ``indices``."""
+    return indices, np.asarray(x, dtype=float)[list(indices)]
 
 
 def enumerate_sym_mean(x, spec):
@@ -44,7 +44,7 @@ def enumerate_sym_mean(x, spec):
     total = np.zeros((d, d))
     count = 0
     for tup in itertools.product(range(d), repeat=r):
-        est = estimate_sym(split_halves(obs_from(x, tup), spec))
+        est = estimate_sym(split_halves(*obs_from(x, tup), spec))
         total += est.to_dense()
         count += 1
     return total / count
@@ -77,26 +77,31 @@ class TestDrawUniformIndices:
 class TestSplitHalves:
     def test_single_pair(self):
         spec = DomainSpec(d=4, k=1, r=2, G=2.0)
-        x_hat, y_hat = split_halves(obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), spec)
+        x_hat, y_hat = split_halves(*obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), spec)
         assert np.array_equal(x_hat, [4.0, 0.0, 0.0, 0.0])
         assert np.array_equal(y_hat, [0.0, -4.0, 0.0, 0.0])
 
     def test_duplicates_accumulate(self):
         # scale 2d/r = 2; the duplicated first coordinate adds twice
         spec = DomainSpec(d=4, k=1, r=4, G=2.0)
-        x_hat, y_hat = split_halves(obs_from([1.0, 0.5, 0.0, 0.0], (0, 0, 1, 2)), spec)
+        x_hat, y_hat = split_halves(*obs_from([1.0, 0.5, 0.0, 0.0], (0, 0, 1, 2)), spec)
         assert np.array_equal(x_hat, [4.0, 0.0, 0.0, 0.0])
         assert np.array_equal(y_hat, [0.0, 1.0, 0.0, 0.0])
 
     def test_zero_values(self):
         spec = DomainSpec(d=3, k=1, r=2, G=1.0)
-        x_hat, y_hat = split_halves(obs_from([0.0, 0.0, 0.0], (1, 2)), spec)
+        x_hat, y_hat = split_halves(*obs_from([0.0, 0.0, 0.0], (1, 2)), spec)
         assert not x_hat.any() and not y_hat.any()
 
     def test_odd_budget_rejected(self):
         spec = DomainSpec(d=4, k=1, r=3, G=1.0)
         with pytest.raises(OddBudget):
-            split_halves(obs_from([1.0, 0.0, 0.0, 0.0], (0, 1, 2)), spec)
+            split_halves(*obs_from([1.0, 0.0, 0.0, 0.0], (0, 1, 2)), spec)
+
+    def test_reading_count_must_match_the_budget(self):
+        spec = DomainSpec(d=4, k=1, r=2, G=1.0)
+        with pytest.raises(DimMismatch, match="4 coordinates, expected r=2"):
+            split_halves(*obs_from([1.0, 0.0, 0.0, 0.0], (0, 1, 2, 3)), spec)
 
 
 class TestDyadicEstimates:
@@ -104,28 +109,28 @@ class TestDyadicEstimates:
         self.spec = DomainSpec(d=4, k=1, r=2, G=2.0)
 
     def test_asym_raw_cross(self):
-        h = split_halves(obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), self.spec)
+        h = split_halves(*obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), self.spec)
         dense = estimate_asym(h).to_dense()
         expected = np.zeros((4, 4))
         expected[0, 1] = -8.0
         assert np.array_equal(dense, expected)
 
     def test_asym_zero(self):
-        h = split_halves(obs_from([0.0] * 4, (0, 1)), self.spec)
+        h = split_halves(*obs_from([0.0] * 4, (0, 1)), self.spec)
         assert estimate_asym(h).to_dense().sum() == 0.0
 
     def test_sym_off_diagonal(self):
         # (1/2) x_hat y_hat^T + (1/2) y_hat x_hat^T with x_hat = 4 e0,
         # y_hat = -4 e1 puts -8 at (0,1) and (1,0); anything smaller would
         # break the exact-enumeration unbiasedness identity below
-        h = split_halves(obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), self.spec)
+        h = split_halves(*obs_from([1.0, -1.0, 0.0, 0.0], (0, 1)), self.spec)
         dense = estimate_sym(h).to_dense()
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = -8.0
         assert np.array_equal(dense, expected)
 
     def test_sym_diagonal_hit(self):
-        h = split_halves(obs_from([1.0, 0.0, 0.0, 0.0], (0, 0)), self.spec)
+        h = split_halves(*obs_from([1.0, 0.0, 0.0, 0.0], (0, 0)), self.spec)
         dense = estimate_sym(h).to_dense()
         expected = np.zeros((4, 4))
         expected[0, 0] = 16.0
@@ -154,7 +159,7 @@ class TestDyadicEstimates:
         n = 200_000
         for _ in range(n):
             idx = draw_uniform_indices(4, 2, rng)
-            total += estimate_sym(split_halves(obs_from(x, idx), self.spec)).to_dense()
+            total += estimate_sym(split_halves(*obs_from(x, idx), self.spec)).to_dense()
         assert np.max(np.abs(total / n - np.outer(x, x))) <= 0.1
 
     def test_spectral_norm_bound_r2(self):
@@ -168,7 +173,7 @@ class TestDyadicEstimates:
                 x *= np.sqrt(G) / np.linalg.norm(x)
                 np.clip(x, -1.0, 1.0, out=x)
                 idx = draw_uniform_indices(4, 2, rng)
-                est = estimate_sym(split_halves(obs_from(x, idx), spec))
+                est = estimate_sym(split_halves(*obs_from(x, idx), spec))
                 assert spectral_norm(est.to_dense()) <= bound + 1e-9
 
 
@@ -311,7 +316,7 @@ class _FixedUniforms:
 
 def _hull_diagonals(rng, d, k, count):
     """Diagonals of random hull elements: rotated spectra, not just diagonal ones."""
-    return [np.diagonal(random_hull_element(rng, d, k).matrix).copy() for _ in range(count)]
+    return [np.diagonal(random_hull_element(rng, d, k)).copy() for _ in range(count)]
 
 
 class TestDrawMbegPair:
@@ -441,7 +446,7 @@ class TestMbegEstimate:
 
     def test_zero_probability(self):
         with pytest.raises(ZeroProbability):
-            mbeg_estimate(0, 1, 1.0, 1.0, 0.0)
+            mbeg_estimate(0, 1, 1.0, 1.0, 0.0, d=2)
 
     def test_importance_weight_divides_by_p_or_2p_at_scalars_and_arrays(self):
         # mbeg weighs its hit pair at scalars and its trace rows at arrays

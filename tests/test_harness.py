@@ -271,6 +271,18 @@ REPLAY_DIGESTS = {
 }
 
 
+# sha256 over each pinned trial's traced ``indices`` and ``values`` columns:
+# an "m,trial,seed,dtype,shape" line, then the column's bytes.  On these
+# axis-aligned sweeps the columns depend only on the stream and the oracle,
+# so any change to draw order moves them even where every excess is 0.
+REPLAY_DRAW_DIGESTS = {
+    "split-half": "db72f981698dc3ff2a034c10a9d50aa6869579f735a3141b7edda7764bf6ea85",
+    "mbeg-d16": "2150ce58c055a05c805100f589fae8c01f0fa7e4621ed2541c5474a9311a6f8c",
+    "dyadic-demo": "960413a768a767c53bca0699b7ef7d6e1f19b38038615b535c7d640b979fc3bf",
+}
+TRACED_LEARNERS = {"mbgd": mbgd, "bandit-pca": bandit_pca, "mbeg": mbeg}
+
+
 class TestReplayPin:
     @pytest.mark.parametrize("name", list(REPLAY_SWEEPS))
     def test_replay_bytes_are_pinned(self, name):
@@ -280,6 +292,21 @@ class TestReplayPin:
                 assert rec.error is None, rec.error
                 h.update(f"{rec.m},{rec.trial},{rec.seed},{rec.excess_loss.hex()}\n".encode())
         assert h.hexdigest() == REPLAY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", list(REPLAY_SWEEPS))
+    def test_drawn_columns_are_pinned(self, name):
+        h = hashlib.sha256()
+        for cfg in REPLAY_SWEEPS[name]():
+            learner = TRACED_LEARNERS[cfg.algo]
+            for m in cfg.m_values:
+                for t in range(cfg.trials):
+                    seed = mix64(cfg.base_seed, m, t)  # run_trial's seed
+                    lcfg = LearnerConfig(cfg.domain, m, cfg.eta_override, cfg.alpha_override, seed)
+                    _, trace = learner(cfg.distribution, lcfg, return_trace=True)
+                    for col in (trace.indices, trace.values):
+                        h.update(f"{m},{t},{seed},{col.dtype.str},{col.shape}\n".encode())
+                        h.update(col.tobytes())
+        assert h.hexdigest() == REPLAY_DRAW_DIGESTS[name]
 
 
 class TestCsv:
@@ -695,13 +722,17 @@ class TestCli:
             f"m={m}: mean excess {mean:.4g} over 3 trials" for m, mean in means.items()
         ]
 
-    def test_config_error_exits_2(self):
+    def test_config_error_exits_2(self, capsys):
         code = cli_main(
             ["run", "--algo", "mbeg", "--d", "4", "--k", "1", "--r", "4",
              "--G", "1", "--m", "600", "--trials", "1", "--seed", "1",
              "--dist", "dyadic:s=0,eps=0.2,c=4"]
         )
         assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "r=4" in line
 
     @pytest.mark.parametrize("override", [["--eta", "-1"], ["--eta", "0"], ["--alpha", "0.7"]])
     def test_bad_override_exits_2(self, override, capsys):

@@ -34,7 +34,6 @@ from subspace_bandits.learners import (
     mbgd_step_size,
 )
 from subspace_bandits.oracles import (
-    PartialObservation,
     coin_fixture,
     default_coin_basis,
     dyadic_fixture,
@@ -282,6 +281,15 @@ class TestLearnerConfig:
             1.0, 0.5
         )
 
+    def test_mbeg_rates_state_the_budget_rules(self):
+        # m = 0 used to divide by zero in the default step size
+        spec = DomainSpec(d=4, k=1, r=2, G=1.0)
+        for overrides in ({}, {"eta_override": 0.001}, {"alpha_override": 0.5}):
+            with pytest.raises(ValueError, match="m >= 1, got 0"):
+                mbeg_rates(LearnerConfig(spec=spec, m=0, **overrides))
+        with pytest.raises(BudgetNotTwo, match="r=4"):
+            mbeg_rates(LearnerConfig(spec=DomainSpec(d=4, k=1, r=4, G=1.0), m=600))
+
     def test_rejects_bad_overrides(self):
         spec = DomainSpec(d=4, k=1, r=2, G=1.0)
         with pytest.raises(ValueError):
@@ -367,7 +375,7 @@ class TestBanditPca:
         assert np.max(np.abs(pi.matrix - top_k_projector(expected, spec.k).matrix)) <= 1e-9
 
         stream = util.UniformQueue(u)
-        values = [observe(dist, row, stream).values for row in idx.tolist()]
+        values = [observe(dist, row, stream) for row in idx.tolist()]
         assert trace.indices.tobytes() == idx.astype(np.intp).tobytes()
         assert trace.values.tobytes() == np.array(values).tobytes()
         assert trace.indices.shape == trace.values.shape == (m, r)
@@ -426,8 +434,7 @@ class TestMbgd:
         eta = mbgd_step_size(spec, cfg.m)
         acc = np.zeros((spec.d, spec.d))
         for idx, values in zip(trace.indices.tolist(), trace.values):
-            obs = PartialObservation(tuple(idx), values)
-            for a, b, v in estimate_sym(split_halves(obs, spec)).terms:
+            for a, b, v in estimate_sym(split_halves(idx, values, spec)).terms:
                 acc[a, b] += v
                 if a != b:
                     acc[b, a] += v
@@ -478,7 +485,7 @@ class TestMbgd:
         # eigenbasis, so the two routes really differ in the last bits.
         handed = []
 
-        def recording(w, k=None):
+        def recording(w, k):
             handed.append((w, k))
             return decompose(w, k)
 

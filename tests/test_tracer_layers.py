@@ -3,7 +3,10 @@
 ``bench/tracer.py`` looks each ``LAYERS`` entry up by name, so deleting or
 renaming one of those functions breaks ``bench/run.py --trace 1``.  Its
 hooks also read fields of some layers' results: ``decompose(...).size`` and
-each estimate's ``.terms`` as (row, col, value) triples.  The tracer is
+each estimate's ``.terms`` as (row, col, value) triples.  The benchmark's own
+tests also assert that some modules bind a layer function by name
+(``learners.observe is oracles.observe``); those tests run outside this
+suite, so their bindings are checked here too.  The benchmark files are
 parsed with ``ast``, not imported, so these checks need nothing from the
 benchmark and cannot change it.
 """
@@ -18,7 +21,10 @@ import numpy as np
 from subspace_bandits.decomposition import decompose
 from subspace_bandits.estimators import estimate_asym, estimate_sym, mbeg_estimate
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+BENCH_TESTS = BENCH / "tests" / "test_bench.py"
+BINDING_TEST = "test_tracing_off_leaves_library_functions_untouched"
 
 
 def tracer_assignment(name: str) -> ast.expr:
@@ -35,6 +41,38 @@ def tracer_assignment(name: str) -> ast.expr:
 def tracer_layers() -> list[tuple[str, str]]:
     """(module, function) of each entry of the module-level ``LAYERS`` tuple."""
     return [(entry.elts[0].value, entry.elts[1].value) for entry in tracer_assignment("LAYERS").elts]
+
+
+def asserted_bindings() -> list[tuple[tuple[str, str], tuple[str, str]]]:
+    """((module, name), (module, name)) of each ``assert a.x is b.y`` in the binding test."""
+    tree = ast.parse(BENCH_TESTS.read_text(encoding="utf-8"), filename=str(BENCH_TESTS))
+    test = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == BINDING_TEST
+    )
+    pairs = []
+    for node in test.body:
+        if not isinstance(node, ast.Assert) or not isinstance(node.test, ast.Compare):
+            continue
+        cmp = node.test
+        sides = [cmp.left, *cmp.comparators]
+        if [type(op) for op in cmp.ops] == [ast.Is] and all(
+            isinstance(side, ast.Attribute) and isinstance(side.value, ast.Name) for side in sides
+        ):
+            pairs.append(tuple((side.value.id, side.attr) for side in sides))
+    return pairs
+
+
+def broken_bindings(pairs) -> list[str]:
+    """The asserted bindings whose two names are not one object in the library."""
+    def lookup(mod_name, attr):
+        return vars(importlib.import_module(f"subspace_bandits.{mod_name}")).get(attr)
+
+    return [
+        f"{a}.{x} is {b}.{y}"
+        for (a, x), (b, y) in pairs
+        if lookup(a, x) is None or lookup(a, x) is not lookup(b, y)
+    ]
 
 
 def missing_layers(layers) -> list[str]:
@@ -65,6 +103,26 @@ def test_a_deleted_function_or_a_class_is_reported():
     assert missing_layers([("spectral", "sym_exp"), ("estimators", "MbegPairSampler")]) == [
         "spectral.sym_exp",
         "estimators.MbegPairSampler",
+    ]
+
+
+def test_parses_the_asserted_bindings():
+    pairs = asserted_bindings()
+    assert (("learners", "observe"), ("oracles", "observe")) in pairs
+    assert (("learners", "split_halves"), ("estimators", "split_halves")) in pairs
+
+
+def test_every_asserted_binding_holds():
+    assert broken_bindings(asserted_bindings()) == []
+
+
+def test_a_binding_that_does_not_hold_is_reported():
+    # two different functions, and a name the module never had
+    pairs = [(("learners", "observe"), ("spectral", "sym_eig")),
+             (("harness", "split_halves"), ("estimators", "split_halves"))]
+    assert broken_bindings(pairs) == [
+        "learners.observe is spectral.sym_eig",
+        "harness.split_halves is estimators.split_halves",
     ]
 
 

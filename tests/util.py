@@ -16,7 +16,7 @@ import numpy as np
 
 from subspace_bandits import learners
 from subspace_bandits.decomposition import ZERO_TOL, decompose, sample_component
-from subspace_bandits.domain import HullElement, check_hull_membership, projector_from_basis
+from subspace_bandits.domain import check_hull_membership, projector_from_basis, within_hull
 from subspace_bandits.errors import NotInHull
 from subspace_bandits.estimators import (
     estimate_asym,
@@ -49,10 +49,11 @@ def random_hull_spectrum(rng, d, k):
 
 
 def random_hull_element(rng, d, k):
+    """A symmetric matrix with spectrum in [0, 1] and trace k, in a random basis."""
     v = random_orthonormal(rng, d, d)
     lam = random_hull_spectrum(rng, d, k)
     m = (v * lam) @ v.T
-    return HullElement(matrix=0.5 * (m + m.T), k=k)
+    return 0.5 * (m + m.T)
 
 
 def brute_force_capped_projection(lam, k):
@@ -295,8 +296,8 @@ def dense_mbeg_replay(dist, cfg, trace):
             new_iterate = kept = False
         w_bar += w_now
         rng.random(3)
-        obs = observe(dist, (s, q), rng)
-        est = mbeg_estimate(s, q, obs.values[0], obs.values[1], float(table[s, q]), d=d)
+        x_s, x_q = observe(dist, (s, q), rng)
+        est = mbeg_estimate(s, q, x_s, x_q, float(table[s, q]), d=d)
         v = est.terms[0][2]
         worst_gap = max(worst_gap, abs(v - v_traced) / max(1.0, abs(v)))
         if v != 0.0:
@@ -377,8 +378,8 @@ def _scalar_mbeg_iterate(w, basis, alpha, k):
 def scalar_mbeg(dist, cfg, return_trace=False):
     """``learners.mbeg`` as a loop of one scalar pair draw and one ``observe`` per step.
 
-    The same stream order (``rng.random(3)``, then the oracle's uniform) and
-    the same update as the library.  ``learners.entropic_project`` is looked
+    The same stream order (``rng.random(3)``, then the oracle's uniform), the
+    same update and the same hull rule (``domain.within_hull``) as the library.  ``learners.entropic_project`` is looked
     up on every update, so a test that patches it patches both loops.  The
     trace columns are filled one row per step.
     """
@@ -396,8 +397,7 @@ def scalar_mbeg(dist, cfg, return_trace=False):
     for i in range(cfg.m):
         held += 1
         s, q, p = sampler.draw(rng)
-        obs = observe(dist, (s, q), rng)
-        x_s, x_q = float(obs.values[0]), float(obs.values[1])
+        x_s, x_q = observe(dist, (s, q), rng).tolist()
         v = x_s * x_q / p if s == q else x_s * x_q / (2 * p)
         if v != 0.0:
             w_bar += held * w_now
@@ -419,8 +419,8 @@ def scalar_mbeg(dist, cfg, return_trace=False):
             w = learners.entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
             w_now, sampler, stats = _scalar_mbeg_iterate(w, basis, alpha, k)
 
-        trace_err, w_min, w_max = stats
-        if trace_err > 1e-8 or w_min < -1e-8 or w_max > 1 + 1e-8:
+        if not within_hull(*stats):
+            trace_err, w_min, w_max = stats
             raise NotInHull(
                 f"iterate left the hull at step {i}: trace error {trace_err:.3g}, "
                 f"spectrum [{w_min:.6g}, {w_max:.6g}]"
@@ -497,7 +497,7 @@ def scalar_split_half_sum(dist, spec, idx, u):
     asym = np.zeros((spec.d, spec.d))
     sym = np.zeros((spec.d, spec.d))
     for row in np.asarray(idx).tolist():
-        halves = split_halves(observe(dist, row, stream), spec)
+        halves = split_halves(row, observe(dist, row, stream), spec)
         asym += estimate_asym(halves).to_dense()
         sym += estimate_sym(halves).to_dense()
     return asym, sym
@@ -519,6 +519,6 @@ def scalar_marginal_mc_deviation(d, G, mc_draws, seed):
     for s in range(d):
         dist = impossibility_fixture(d, G, s)
         for i in range(d):
-            hits = sum(1 for _ in range(mc_draws) if observe(dist, (i,), rng).values[0] > 0)
+            hits = sum(1 for _ in range(mc_draws) if observe(dist, (i,), rng)[0] > 0)
             worst = max(worst, abs(hits / mc_draws - 0.5))
     return worst
