@@ -17,8 +17,8 @@ and averaging the split-half estimate over all index tuples does the same.
 The per-observation functions (``split_halves``, which returns the pair of
 scaled halves, ``estimate_asym`` and ``estimate_sym``, which take that pair)
 state the split-half estimator one step at a time;
-``split_half_sum`` is its block engine, which sums m steps' cross products
-with a few array operations per chunk of steps.  ``pair_price`` and
+``split_half_sum`` is its block engine, which sums m steps' cross terms by
+pair key with a few array operations per chunk of steps.  ``pair_price`` and
 ``importance_weight`` state the single-pair estimator's price and weight.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec
-from .errors import BadAlpha, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
+from .errors import BadAlpha, BadIndex, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
 from .oracles import PROB_TOL, DistributionSpec, observe_block
 from .seeding import pinned_cumsum
 
@@ -80,6 +80,8 @@ def split_halves(indices, values, spec: DomainSpec) -> tuple[np.ndarray, np.ndar
     _check_split_budget(r)
     if len(indices) != r:
         raise DimMismatch(f"observation has {len(indices)} coordinates, expected r={r}")
+    if len(values) != r:
+        raise DimMismatch(f"observation has {len(values)} readings, expected r={r}")
     scale = 2.0 * spec.d / r
     half = r // 2
     x_hat = np.zeros(spec.d)
@@ -126,39 +128,34 @@ def split_half_sum(
 ) -> np.ndarray:
     """S = sum_t x_hat_t y_hat_t^T over m split-half steps, as one d x d array.
 
-    Step t draws r uniform indices and one vector through the oracle and
-    forms the scaled halves of ``split_halves``; S / 2 is the sum of the
-    steps' ``estimate_asym`` terms and (S + S^T) / 2 the sum of their
-    ``estimate_sym`` terms.  The steps run in chunks of n <= ``STEP_CHUNK``:
-    each chunk draws ``rng.integers(0, d, size=(n, r))``, then
-    ``rng.random(n)`` for the oracle (``observe_block``), scatters each half
-    into an (n, d) block and adds X_hat^T Y_hat.  A chunk holds its (n, r)
-    index, position and value blocks and the two (n, d) half blocks, so its
-    memory grows with r, not r^2: a peak of 4 MB at n = 1024, r = d = 64
-    (2 MB at r = 2), measured with tracemalloc.  ``observed``, if a list,
-    receives each chunk's (indices, values) blocks, for callers that trace
-    the steps.
+    Step t draws r uniform indices and one vector through the oracle; S is
+    twice the sum of the steps' ``estimate_asym`` terms, and (S + S^T) / 2
+    the sum of their ``estimate_sym`` terms.  Each step adds its r^2/4
+    cross terms, reading a of the first half times reading b of the second
+    (both scaled by 2d/r), at key index_a * d + index_b of one bincount.
+    The steps run in chunks of n <= ``STEP_CHUNK``: each chunk draws
+    ``rng.integers(0, d, size=(n, r))``, then ``rng.random(n)`` for the
+    oracle (``observe_block``); beside the d^2 total, its memory grows with
+    n r^2/4, not with d.  ``observed``, if a list, receives each chunk's (indices, values)
+    blocks, for callers that trace the steps.
     """
     d, r = spec.d, spec.r
     _check_split_budget(r)
     half = r // 2
     scale = 2.0 * d / r
-    # Entry j of a step lands in the x_hat block (offset 0) or the y_hat block (offset d).
-    offsets = np.repeat((0, d), half)
-    total = np.zeros((d, d))
+    a, b = np.divmod(np.arange(half * half), half)  # cross pair p joins readings a[p], b[p]
+    b += half
+    total = np.zeros(d * d)
     for start in range(0, m, STEP_CHUNK):
         n = min(STEP_CHUNK, m - start)
         idx = rng.integers(0, d, size=(n, r))
         values = observe_block(dist, idx, rng.random(n)[:, None])
-        where = idx + offsets + (2 * d) * np.arange(n)[:, None]
-        # bincount adds each step's duplicates in draw order, as split_halves does.
-        halves = np.bincount(
-            where.ravel(), weights=(scale * values).ravel(), minlength=2 * d * n
-        ).reshape(n, 2, d)
-        total += halves[:, 0].T @ halves[:, 1]
+        i, x = idx.T, scale * values.T  # (r, n): the inner loops run over the steps
+        keys = i[a] * d + i[b]
+        total += np.bincount(keys.ravel(), weights=(x[a] * x[b]).ravel(), minlength=d * d)
         if observed is not None:
             observed.append((idx, values))
-    return total
+    return total.reshape(d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,6 +279,8 @@ def mbeg_estimate(s: int, q: int, x_s: float, x_q: float, p: float, d: int) -> S
     sum_{(s,q)} p_{s,q} C_hat(s,q) = x x^T hold.  ``d`` is the ambient
     dimension of the estimate.
     """
+    if not (0 <= s < d and 0 <= q < d):
+        raise BadIndex(f"pair ({s}, {q}) outside [0, {d})")
     if p <= 0:
         raise ZeroProbability(f"pair ({s}, {q}) has probability {p:g}")
     terms = ((int(s), int(q), float(importance_weight(s, q, float(x_s) * float(x_q), p))),)

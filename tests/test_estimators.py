@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import BadAlpha, DimMismatch, OddBudget, ZeroProbability
+from subspace_bandits.errors import BadAlpha, BadIndex, DimMismatch, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     MbegPairSampler,
     PairProbabilities,
@@ -103,6 +103,13 @@ class TestSplitHalves:
         with pytest.raises(DimMismatch, match="4 coordinates, expected r=2"):
             split_halves(*obs_from([1.0, 0.0, 0.0, 0.0], (0, 1, 2, 3)), spec)
 
+    @pytest.mark.parametrize("values", [[1.0, 0.5, 0.7], [1.0]])
+    def test_value_count_must_match_the_budget(self, values):
+        # a third reading was dropped and a single one raised IndexError
+        spec = DomainSpec(d=4, k=1, r=2, G=1.0)
+        with pytest.raises(DimMismatch, match=f"{len(values)} readings, expected r=2"):
+            split_halves((0, 1), np.array(values), spec)
+
 
 class TestDyadicEstimates:
     def setup_method(self):
@@ -195,8 +202,14 @@ def _chunk_calls(m, r):
 
 
 class TestSplitHalfSum:
-    @pytest.mark.parametrize("m", [1, 1023, 1024, 1025, 2049])
-    @pytest.mark.parametrize("d,r", [(4, 2), (4, 4), (10, 2), (10, 4), (10, 6)])
+    # small shapes at every chunk boundary; pair keys up to d^2 = 65,536 and
+    # 16 cross pairs per step at the wide ones
+    @pytest.mark.parametrize(
+        "d,r,m",
+        [(d, r, m) for d, r in [(4, 2), (4, 4), (10, 2), (10, 4), (10, 6)]
+         for m in [1, 1023, 1024, 1025, 2049]]
+        + [(d, r, m) for d, r in [(64, 2), (64, 8), (256, 2)] for m in [1, 1025]],
+    )
     def test_equals_both_scalar_estimators_on_the_same_draws(self, d, r, m):
         rng = make_rng(1000 * d + 10 * r + m)
         dist = _random_support(rng, d)
@@ -447,6 +460,12 @@ class TestMbegEstimate:
     def test_zero_probability(self):
         with pytest.raises(ZeroProbability):
             mbeg_estimate(0, 1, 1.0, 1.0, 0.0, d=2)
+
+    @pytest.mark.parametrize("s,q", [(5, 0), (0, 3), (-1, 0)])
+    def test_pair_outside_the_dimension(self, s, q):
+        # (5, 0) at d=3 was built, and to_dense then raised IndexError
+        with pytest.raises(BadIndex):
+            mbeg_estimate(s, q, 1.0, 1.0, 0.1, d=3)
 
     def test_importance_weight_divides_by_p_or_2p_at_scalars_and_arrays(self):
         # mbeg weighs its hit pair at scalars and its trace rows at arrays

@@ -6,9 +6,13 @@ hooks also read fields of some layers' results: ``decompose(...).size`` and
 each estimate's ``.terms`` as (row, col, value) triples.  The benchmark's own
 tests also assert that some modules bind a layer function by name
 (``learners.observe is oracles.observe``); those tests run outside this
-suite, so their bindings are checked here too.  The benchmark files are
-parsed with ``ast``, not imported, so these checks need nothing from the
-benchmark and cannot change it.
+suite, so their bindings are checked here too.  For the same reason the
+check that tracing leaves results unchanged, which also asserts that a
+traced ``short-trials`` unit records an estimate, is backed here by the
+fact it rests on: ``mbgd`` builds its informative steps' estimates through
+``learners.estimate_sym``.  The benchmark files are parsed with ``ast``,
+not imported, so these checks need nothing from the benchmark and cannot
+change it.
 """
 
 import ast
@@ -18,8 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
+from subspace_bandits import learners
 from subspace_bandits.decomposition import decompose
+from subspace_bandits.domain import DomainSpec
 from subspace_bandits.estimators import estimate_asym, estimate_sym, mbeg_estimate
+from subspace_bandits.oracles import DistributionSpec
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACER = BENCH / "tracer.py"
@@ -148,3 +155,18 @@ def test_every_hooked_estimate_carries_row_col_value_terms():
             assert isinstance(term, tuple) and len(term) == 3, name
             row, col, value = term
             assert type(row) is int and type(col) is int and isinstance(value, float), name
+
+
+def test_mbgd_builds_informative_estimates_through_estimate_sym(monkeypatch):
+    # every reading of the point (1, 1) is nonzero, so every step is informative
+    calls = []
+
+    def counted(halves):
+        calls.append(halves)
+        return estimate_sym(halves)
+
+    monkeypatch.setattr(learners, "estimate_sym", counted)
+    dist = DistributionSpec(d=2, points=np.ones((1, 2)), probs=np.ones(1), tag="ones")
+    cfg = learners.LearnerConfig(spec=DomainSpec(d=2, k=1, r=2, G=2.0), m=5, seed=0)
+    learners.mbgd(dist, cfg)
+    assert len(calls) == 5
