@@ -130,16 +130,12 @@ def split_half_sum(
 
     Step t draws r uniform indices and one vector through the oracle; S is
     twice the sum of the steps' ``estimate_asym`` terms, and (S + S^T) / 2
-    the sum of their ``estimate_sym`` terms.  Each step adds its r^2/4
-    cross terms, reading a of the first half times reading b of the second
-    (both scaled by 2d/r), at key index_a * d + index_b of one bincount.
-    The steps run in chunks of n <= ``STEP_CHUNK``: each chunk draws
-    ``rng.integers(0, d, size=(n, r))``, then ``rng.random(n)`` for the
-    oracle (``observe_block``).  Beside the d^2 total, a chunk's memory
-    grows with n r^2/4, not with d: a peak of 0.13 MB at r = 2 and 26 MB at
-    r = 64 (n = 1024, d = 64, measured with tracemalloc).  ``observed``, if
-    a list, receives each chunk's (indices, values) blocks, for callers that
-    trace the steps.
+    the sum of their ``estimate_sym`` terms.  Each chunk of n <= ``STEP_CHUNK``
+    steps draws ``rng.integers(0, d, size=(n, r))``, then ``rng.random(n)``
+    (``observe_block``).  While a step's r^2/4 cross terms number at most d/2,
+    one bincount adds each x_hat_a y_hat_b at key a * d + b, in time and memory
+    growing with n r^2/4; past that, X_hat^T Y_hat over (n, 2, d) half blocks
+    costs less.  A list ``observed`` receives each chunk's (indices, values).
     """
     d, r = spec.d, spec.r
     _check_split_budget(r)
@@ -152,9 +148,15 @@ def split_half_sum(
         n = min(STEP_CHUNK, m - start)
         idx = rng.integers(0, d, size=(n, r))
         values = observe_block(dist, idx, rng.random(n)[:, None])
-        i, x = idx.T, scale * values.T  # (r, n): the inner loops run over the steps
-        keys = i[a] * d + i[b]
-        total += np.bincount(keys.ravel(), weights=(x[a] * x[b]).ravel(), minlength=d * d)
+        if 2 * half * half <= d:
+            i, x = idx.T, scale * values.T  # (r, n): the inner loops run over the steps
+            keys = (i[a] * d + i[b]).ravel()
+            total += np.bincount(keys, weights=(x[a] * x[b]).ravel(), minlength=d * d)
+        else:  # reading j lands in step t's x_hat (offset 0) or y_hat (offset d) half
+            where = (idx + np.repeat((0, d), half) + (2 * d) * np.arange(n)[:, None]).ravel()
+            halves = np.bincount(where, weights=scale * values.ravel(), minlength=2 * d * n)
+            halves = halves.reshape(n, 2, d)
+            total += (halves[:, 0].T @ halves[:, 1]).ravel()
         if observed is not None:
             observed.append((idx, values))
     return total.reshape(d, d)

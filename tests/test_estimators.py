@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,13 +203,15 @@ def _chunk_calls(m, r):
 
 
 class TestSplitHalfSum:
-    # small shapes at every chunk boundary; pair keys up to d^2 = 65,536 and
-    # 16 cross pairs per step at the wide ones
+    # small shapes at every chunk boundary, on both sides of the r^2/4 <= d/2
+    # switch; pair keys up to d^2 = 65,536 and 25 cross pairs per step at the
+    # wide ones, and half blocks from the first r past the switch to r = d
     @pytest.mark.parametrize(
         "d,r,m",
         [(d, r, m) for d, r in [(4, 2), (4, 4), (10, 2), (10, 4), (10, 6)]
          for m in [1, 1023, 1024, 1025, 2049]]
-        + [(d, r, m) for d, r in [(64, 2), (64, 8), (256, 2)] for m in [1, 1025]],
+        + [(d, r, m) for d, r in [(64, 2), (64, 8), (64, 10), (64, 12), (32, 32), (256, 2)]
+           for m in [1, 1025]],
     )
     def test_equals_both_scalar_estimators_on_the_same_draws(self, d, r, m):
         rng = make_rng(1000 * d + 10 * r + m)
@@ -225,6 +228,21 @@ class TestSplitHalfSum:
         scale = max(1.0, float(np.max(np.abs(sym))))
         assert np.max(np.abs(0.5 * total - asym)) <= 1e-12 * scale  # bandit_pca's sum
         assert np.max(np.abs(0.5 * (total + total.T) - sym)) <= 1e-12 * scale  # mbgd's sum
+
+    @pytest.mark.parametrize("r", [2, 10, 12, 64])
+    def test_chunk_memory_stays_near_the_half_blocks(self, r):
+        # pair keys for all r peaked at 26 MB at r = 64; the (n, 2, d) half
+        # blocks took 4 MB at n = 1024, d = 64 whatever r
+        d = 64
+        dist = _random_support(make_rng(6), d)
+        spec = DomainSpec(d=d, k=1, r=r, G=float(d))
+        tracemalloc.start()
+        try:
+            split_half_sum(dist, spec, 1024, make_rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("m", [1, 1024, 2049])
     def test_stream_ends_after_the_documented_blocks(self, m):
