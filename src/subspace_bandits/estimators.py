@@ -18,8 +18,9 @@ The per-observation functions (``split_halves``, which returns the pair of
 scaled halves, ``estimate_asym`` and ``estimate_sym``, which take that pair)
 state the split-half estimator one step at a time;
 ``split_half_sum`` is its block engine, which sums m steps' cross terms by
-pair key with a few array operations per chunk of steps.  ``pair_price`` and
-``importance_weight`` state the single-pair estimator's price and weight.
+pair key (at large r, as a product of half blocks) a chunk of steps at a time.
+``pair_price`` and ``importance_weight`` state the single-pair estimator's
+price and weight.
 """
 
 from __future__ import annotations
