@@ -37,6 +37,7 @@ import numpy as np
 
 from .domain import DomainSpec
 from .errors import AlphaTooLarge, BudgetNotTwo, ConfigError, SubspaceBanditError
+from .estimators import _check_split_budget
 from .evaluation import excess_loss
 from .learners import (
     LearnerConfig,
@@ -92,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algo {self.algo!r}; choose from {ALGORITHMS}")
         if not self.m_values:
             raise ConfigError("m_values must be non-empty")
-        if any(m < 1 for m in self.m_values):
-            raise ConfigError(f"sample budgets must be >= 1, got {self.m_values}")
         repeated = [m for i, m in enumerate(self.m_values) if m in self.m_values[:i]]
         if repeated:
             raise ConfigError(f"sample budget m={repeated[0]} repeats in m_values {self.m_values}")
@@ -102,11 +101,11 @@ class ExperimentConfig:
         overrides = (self.eta_override, self.alpha_override)
         try:
             learner_configs = [LearnerConfig(self.domain, m, *overrides) for m in self.m_values]
-        except ValueError as exc:
+            if self.algo in ("bandit-pca", "mbgd"):
+                _check_split_budget(self.domain.r)
+        except ValueError as exc:  # OddBudget is a ValueError
             raise ConfigError(str(exc)) from exc
         _check_fits(self.distribution, self.domain)
-        if self.algo in ("bandit-pca", "mbgd") and self.domain.r % 2 != 0:
-            raise ConfigError(f"{self.algo} needs an even attribute budget, got r={self.domain.r}")
         if self.algo == "mbeg":
             for lcfg in learner_configs:
                 try:

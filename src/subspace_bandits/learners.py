@@ -27,7 +27,6 @@ runs can execute concurrently.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +43,11 @@ from .errors import (
     InfeasibleK,
     InvalidMatrix,
     NotInHull,
-    OddBudget,
 )
 from .estimators import (
     STEP_CHUNK,
     MbegPairSampler,
+    _check_split_budget,
     draw_uniform_indices,
     estimate_sym,
     importance_weight,
@@ -160,10 +159,10 @@ class LearnerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"sample budget must be nonnegative, got {self.m}")
-        if self.eta_override is not None and not self.eta_override > 0:
-            raise ValueError(f"eta override must be positive, got {self.eta_override}")
+        if self.m < 1:
+            raise ValueError(f"sample budget needs m >= 1, got {self.m}")
+        if self.eta_override is not None and not 0 < self.eta_override < math.inf:
+            raise ValueError(f"eta override must be positive and finite, got {self.eta_override}")
         if self.alpha_override is not None and not 0 < self.alpha_override <= 0.5:
             raise ValueError(f"alpha override must lie in (0, 1/2], got {self.alpha_override}")
 
@@ -186,15 +185,13 @@ def mbeg_rates(cfg: LearnerConfig) -> tuple[float, float]:
 
     The default alpha = eta d^2 / 2 is taken from the eta actually used and
     must not exceed 1/2; with the default eta that needs
-    m >= ``mbeg_min_budget``.  This states all of mbeg's budget rules: r = 2
-    (:class:`BudgetNotTwo`), m >= 1 (``ValueError``) and alpha <= 1/2
-    (:class:`AlphaTooLarge`).
+    m >= ``mbeg_min_budget``.  This states mbeg's own budget rules: r = 2
+    (:class:`BudgetNotTwo`) and alpha <= 1/2 (:class:`AlphaTooLarge`);
+    ``LearnerConfig`` owns m >= 1, the rule every learner shares.
     """
     spec = cfg.spec
     if spec.r != 2:
         raise BudgetNotTwo(f"the attribute budget must be r = 2, got r={spec.r}")
-    if cfg.m < 1:
-        raise ValueError(f"mbeg needs m >= 1, got {cfg.m}")
     eta = cfg.eta_override if cfg.eta_override is not None else mbeg_step_size(spec, cfg.m)
     if cfg.alpha_override is not None:
         return eta, cfg.alpha_override
@@ -244,8 +241,6 @@ def bandit_pca(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = 
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
-    if cfg.m < 1:
-        raise ValueError(f"bandit-pca needs m >= 1, got {cfg.m}")
     rng = make_rng(cfg.seed)
     observed = [] if return_trace else None
 
@@ -264,18 +259,14 @@ def mbgd(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     only the final matrix W = (k/d) I + eta * sum_i C_hat_i is projected:
     eigendecompose, project the spectrum onto the capped simplex, decompose
     the projected spectrum over W's eigenbasis into projectors, and sample
-    one.  m = 0 degenerates to decomposing the initializer (k/d) I.
-    Every step draws its indices and its oracle uniform; a step whose
+    one.  Every step draws its indices and its oracle uniform; a step whose
     estimate is zero (a half that reads only zeros) skips building it.
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
-    if spec.r % 2 != 0:
-        raise OddBudget(f"mbgd needs an even attribute budget, got r={spec.r}")
+    _check_split_budget(spec.r)
     rng = make_rng(cfg.seed)
-    eta = cfg.eta_override if cfg.eta_override is not None else (
-        mbgd_step_size(spec, cfg.m) if cfg.m > 0 else 0.0
-    )
+    eta = cfg.eta_override if cfg.eta_override is not None else mbgd_step_size(spec, cfg.m)
     shape = (cfg.m, spec.r)
     trace = LearnerTrace(np.empty(shape, np.intp), np.empty(shape)) if return_trace else None
 
@@ -348,13 +339,11 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
     """
     _check_oracle_setup(dist, cfg)
     spec = cfg.spec
-    eta, alpha = mbeg_rates(cfg)  # refuses r != 2 and m < 1
+    eta, alpha = mbeg_rates(cfg)  # refuses r != 2 and alpha > 1/2
     rng = make_rng(cfg.seed)
     windows = [] if return_trace else None  # each mapped window's trace rows
 
     d, k = spec.d, spec.k
-    # exp of a larger eigenvalue could overflow, or d of them overflow their sum.
-    log_max = math.log(sys.float_info.max / d)
     w = np.full(d, k / d)      # iterate spectrum
     basis = np.eye(d)          # iterate eigenbasis, columns in eigh's order
     w_now = np.diag(w)         # the iterate V diag(w) V^T
@@ -413,16 +402,11 @@ def mbeg(dist: DistributionSpec, cfg: LearnerConfig, return_trace: bool = False)
                     # Raw eigh: W = V diag(w) V^T ignores eigenvector signs, and the
                     # projection maps tied values to tied values, so order is irrelevant.
                     vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
-                if vals[-1] > log_max:
-                    raise InvalidMatrix(
-                        f"mbeg update at step {step} with eta={eta:.4g} overflows: eigenvalue "
-                        f"{vals[-1]:.6g} of log W + eta C_hat exceeds log(float max / d) = "
-                        f"{log_max:.6g}, so its exp has no finite sum"
-                    )
-                w = entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+                # The projection is invariant to scaling and keeps vals' ascending
+                # order: shifted by the largest of vals, every exp stays finite.
+                w = entropic_project(np.maximum(np.exp(vals - vals[-1]), LOG_FLOOR), k)
                 w_now = (basis * w) @ basis.T
-                spectrum = w.tolist()
-                stats = (abs(float(w.sum()) - k), min(spectrum), max(spectrum))
+                stats = (abs(float(w.sum()) - k), float(w[0]), float(w[-1]))
                 _check_iterate(stats, step)
                 diag = w_now.diagonal()
                 cum = diag.cumsum()

@@ -1,4 +1,6 @@
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from subspace_bandits import harness, learners
 from subspace_bandits.decomposition import decompose
-from subspace_bandits.domain import DomainSpec, check_hull_membership
+from subspace_bandits.domain import DomainSpec, check_hull_membership, within_hull
 from subspace_bandits.errors import (
     AlphaTooLarge,
     BudgetNotTwo,
@@ -16,7 +18,6 @@ from subspace_bandits.errors import (
     InvalidMatrix,
     NotInHull,
     OddBudget,
-    SubspaceBanditError,
 )
 from subspace_bandits.estimators import estimate_sym, split_halves
 from subspace_bandits.evaluation import identified_fraction
@@ -43,7 +44,7 @@ from subspace_bandits.oracles import (
 )
 from subspace_bandits.seeding import make_rng
 from subspace_bandits.domain import top_k_projector
-from subspace_bandits.spectral import EigenSystem, sym_eig
+from subspace_bandits.spectral import LOG_FLOOR, EigenSystem, sym_eig
 
 import util
 from util import (
@@ -251,6 +252,18 @@ class TestEntropicProjection:
         with pytest.raises(InfeasibleK):
             entropic_project([1.0, 1.0], 3)
 
+    @pytest.mark.parametrize("c", [1e-250, 1e-8, 1e8, 1e250])
+    @pytest.mark.parametrize("d", [2, 8, 16, 64])
+    def test_invariant_to_scaling_its_input(self, d, c):
+        # v = min(t mu, 1) with t fitted to the trace: scaling mu by c scales t
+        # by 1/c, which is what lets mbeg shift its log-spectrum before exp.
+        rng = make_rng(34)
+        for k in sorted({1, 2, d - 1}):
+            for _ in range(50):
+                mu = np.exp(4.0 * rng.standard_normal(d))
+                out, ref = entropic_project(c * mu, k), entropic_project(mu, k)
+                assert np.max(np.abs(out - ref) / ref) <= 1e-14, (d, k, c)
+
 
 # ---------------------------------------------------------------------------
 # Config and step sizes
@@ -292,12 +305,14 @@ class TestLearnerConfig:
 
     def test_rejects_bad_overrides(self):
         spec = DomainSpec(d=4, k=1, r=2, G=1.0)
-        with pytest.raises(ValueError):
-            LearnerConfig(spec=spec, m=10, eta_override=0.0)
+        for eta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="eta override must be positive and finite"):
+                LearnerConfig(spec=spec, m=10, eta_override=eta)
         with pytest.raises(ValueError):
             LearnerConfig(spec=spec, m=10, alpha_override=0.6)
-        with pytest.raises(ValueError):
-            LearnerConfig(spec=spec, m=-1)
+        for m in (-1, 0):
+            with pytest.raises(ValueError, match=f"sample budget needs m >= 1, got {m}"):
+                LearnerConfig(spec=spec, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +423,6 @@ MBGD_CASE_IDS = ["dyadic-r2", "dyadic-r4", "coin-r4"]
 
 
 class TestMbgd:
-    def test_m_zero_round_trips_initializer(self):
-        dist, spec = point_mass(4)
-        pi, trace = mbgd(dist, LearnerConfig(spec=spec, m=0, seed=5), return_trace=True)
-        assert np.allclose(trace.final_matrix, np.eye(4) / 4, atol=1e-12)
-        # output is a coordinate projector drawn from the uniform mixture
-        assert np.trace(pi.matrix) == pytest.approx(1.0)
-        assert np.max(np.abs(np.round(pi.matrix) - pi.matrix)) <= 1e-9
-
     def test_zero_stream_never_moves(self):
         spec = DomainSpec(d=4, k=1, r=2, G=1.0)
         dist = make_finite_support([(np.zeros(4), 1.0)], spec, tag="zero")
@@ -642,16 +649,21 @@ class TestMbeg:
         assert np.max(np.abs(trace.final_matrix - np.eye(4) / 4)) <= 1e-9
         assert np.trace(pi.matrix) == pytest.approx(1.0)
 
-    def test_overflowing_step_size_is_a_library_error(self):
-        # eta * v reaches ~3840 on the first informative step: exp overflows to inf
+    @pytest.mark.parametrize("eta", [30.0, 1e6, 1e300])
+    def test_large_step_size_stays_in_the_hull(self, eta):
+        # eta * v reaches ~3840 at eta = 30 on the first informative step, past
+        # exp's range; the log-spectrum is shifted by its largest entry first.
         dist = dyadic_fixture(8, s=1, eps=0.25, c=4.0)
         spec = DomainSpec(d=8, k=1, r=2, G=1.0)
-        cfg = LearnerConfig(spec=spec, m=600, seed=1, eta_override=30.0, alpha_override=0.5)
-        with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="finite sum") as info:
-            mbeg(dist, cfg)
-        assert isinstance(info.value, SubspaceBanditError) and isinstance(info.value, ValueError)
-        # refused before its exp, naming the step and the step size
-        assert "mbeg update at step " in str(info.value) and "eta=30 overflows" in str(info.value)
+        cfg = LearnerConfig(spec=spec, m=600, seed=1, eta_override=eta, alpha_override=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            pi, trace = mbeg(dist, cfg, return_trace=True)
+        assert np.count_nonzero(trace.estimate) > 0
+        assert all(within_hull(*row) for row in trace.hull.tolist())
+        _, w_min, w_max = trace.hull.T
+        assert w_min.min() >= LOG_FLOOR and w_max.max() <= 1.0
+        assert np.array_equal(pi.matrix, np.diag(np.eye(8)[1]))
 
     def test_iterates_stay_in_hull(self):
         dist = dyadic_fixture(6, s=0, eps=0.25, c=4.0)
@@ -781,7 +793,8 @@ class TestMbeg:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"alpha_override": 0.2}, {"eta_override": 0.01}, {"alpha_override": 0.5, "eta_override": 0.3}],
+        [{"alpha_override": 0.2}, {"eta_override": 0.01}, {"alpha_override": 0.5, "eta_override": 0.3},
+         {"alpha_override": 0.5, "eta_override": 30.0}],
     )
     def test_matches_scalar_loop_with_overrides(self, monkeypatch, overrides):
         # large steps drive the iterate into the caps of the entropic projection

@@ -416,7 +416,7 @@ def scalar_mbeg(dist, cfg, return_trace=False):
                 if s != q:
                     m_update[q, s] += eta * v
                 vals, basis = np.linalg.eigh(0.5 * (m_update + m_update.T))
-            w = learners.entropic_project(np.maximum(np.exp(vals), LOG_FLOOR), k)
+            w = learners.entropic_project(np.maximum(np.exp(vals - vals[-1]), LOG_FLOOR), k)
             w_now, sampler, stats = _scalar_mbeg_iterate(w, basis, alpha, k)
 
         if not within_hull(*stats):
