@@ -12,13 +12,12 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
 * a ``REGRESSION`` for each end-to-end metric whose change median is worse
   than the parent median by more than the metric's ``bound``;
 * the trial count of every run, and of every cell of it (parsed from the
-  cell's ``finite excess`` check), flagging a ``mean excess`` cell above
-  900 trials: ``bench/workloads.py::_binomial_tail`` overflows above 1,029
-  trials in one cell;
+  cell's ``finite excess`` check);
 * for every ``mean excess`` cell of every run, the calibration time at which
   that run would have reached 1,030 trials of the cell,
   ``calib_ms * trials / 1030``: a run's trial count scales as 1 / calib_ms,
-  so a vCPU that calibrates below it would crash the check;
+  and ``bench/workloads.py::_binomial_tail`` overflows above 1,029 trials in
+  one cell, so a vCPU that calibrates below that time would crash the check;
 * each cell's median raw trial time, from the run's ``raw_trial_ms``: a
   workload's median can fall between two cells of very different cost;
 * whether the two runs of each seed have the same digest, and whether every
@@ -26,7 +25,11 @@ compared on the end-to-end metrics of ``BENCHMARK.json``, traced runs
 * each run's mean calibration time ``calib_ms``, the vCPU speed it was
   scaled by;
 
-and once, the machine the runs came from (the metadata of the change's runs).
+and once, the machine the runs came from (the metadata of the change's runs),
+and an ``unpaired`` list: every (trace, workload, seed) with a run in one
+checkout only, usually because the other run crashed, with that run's
+trials, ``calib_ms``, overflow ``calib_ms`` and digest.  The paired runs are
+compared as if the unpaired ones were absent.
 
 Usage:
 
@@ -39,10 +42,10 @@ object of ``--attach`` (measurements made outside ``bench/run.py``, such as
 raw trial times) under the key ``attached``.  The exit code
 is 1 when a run's ``meta.git_commit`` is not its checkout's HEAD (a stale
 file left by an earlier commit), when a (trace, workload, seed) has a run in
-one checkout only, when the seeds of a pair have different digests, when a
-check or a trial failed in either checkout, when an end-to-end metric
-regressed beyond its bound, or when no workload has runs in both; a cell
-above 900 trials is only flagged.
+one checkout only (after ``--out`` is written), when the seeds of a pair have
+different digests, when a check or a trial failed in either checkout, when
+an end-to-end metric regressed beyond its bound, or when no workload has
+runs in both.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ RUN_NAME = re.compile(r"^(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>\d)\.
 VIEWS = (("end_to_end", 0), ("per_layer", 1))  # BENCHMARK.json metric list, --trace setting
 MACHINE_KEYS = ("nproc", "cpu_model", "python", "numpy", "blas", "blas_threads")
 FINITE_CHECK, MEAN_EXCESS_CHECK = ": finite excess", ": mean excess"  # check name suffixes
-MAX_MEAN_EXCESS_TRIALS = 900  # the binomial tail of a mean-excess check overflows above 1,029
 OVERFLOW_TRIALS = 1030  # the fewest trials whose mean-excess tail overflows
 
 
@@ -109,15 +111,29 @@ def load_runs(checkout: Path) -> dict:
     return runs
 
 
-def unpaired(parent: dict, change: dict) -> list[str]:
-    """A line for every (trace, workload, seed) that has a run in one checkout only."""
+def unpaired(parent: dict, change: dict) -> list[dict]:
+    """An entry for every (trace, workload, seed) that has a run in one checkout only."""
     def keys(runs):
         return {(t, w, s) for t, by_workload in runs.items()
                 for w, by_seed in by_workload.items() for s in by_seed}
 
-    sides = (("parent", keys(parent) - keys(change)), ("change", keys(change) - keys(parent)))
-    return [f"{w} seed {s} trace {t}: a run in the {side} checkout only"
-            for side, lonely in sides for t, w, s in sorted(lonely)]
+    entries = []
+    for side, runs, other in (("parent", parent, change), ("change", change, parent)):
+        for t, w, s in sorted(keys(runs) - keys(other)):
+            report = runs[t][w][s]
+            entries.append({
+                "side": side, "workload": w, "seed": s, "trace": t,
+                "trials": report["extras"]["trials"],
+                "calib_ms": report["extras"].get("calib_ms"),
+                "overflow_calib_ms": overflow_calib_ms(report),
+                "digest": report["extras"]["digest"],
+            })
+    return entries
+
+
+def _unpaired_line(entry: dict) -> str:
+    return (f"{entry['workload']} seed {entry['seed']} trace {entry['trace']}: "
+            f"a run in the {entry['side']} checkout only")
 
 
 def spread(values: list[float]) -> dict:
@@ -181,16 +197,6 @@ def mean_excess_trials(report: dict) -> dict:
     return {cell: n for cell, n in cell_trials(report).items() if cell in checked}
 
 
-def trial_count_flags(side: str, seed: int, report: dict) -> list[str]:
-    """A line for every mean-excess cell of the run holding more than 900 trials."""
-    return [
-        f"{side} seed {seed}: cell '{cell}' holds {n} trials > {MAX_MEAN_EXCESS_TRIALS} "
-        "(its mean-excess check overflows above 1,029)"
-        for cell, n in mean_excess_trials(report).items()
-        if n > MAX_MEAN_EXCESS_TRIALS
-    ]
-
-
 def overflow_calib_ms(report: dict) -> dict:
     """{mean-excess cell: the calib_ms at which the run would have held 1,030 of its trials}.
 
@@ -204,7 +210,7 @@ def overflow_calib_ms(report: dict) -> dict:
 
 
 def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
-    seeds = sorted(parent)  # ``unpaired`` found none: both sides ran the same seeds
+    seeds = sorted(set(parent) & set(change))  # ``unpaired`` lists the others
     out: dict = {"seeds": seeds, "metrics": {}}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
@@ -233,9 +239,6 @@ def compare_workload(metrics: list[dict], parent: dict, change: dict) -> dict:
     }
     out["cell_trials"] = {side: [cell_trials(runs[s]) for s in seeds] for side, runs in sides}
     out["cell_trial_ms"] = {side: [cell_trial_ms(runs[s]) for s in seeds] for side, runs in sides}
-    out["trial_count_flags"] = [
-        flag for side, runs in sides for s in seeds for flag in trial_count_flags(side, s, runs[s])
-    ]
     out["overflow_calib_ms"] = {
         side: [overflow_calib_ms(runs[s]) for s in seeds] for side, runs in sides
     }
@@ -296,7 +299,6 @@ def render(report: dict) -> str:
             for side in ("parent", "change"):
                 for cell, counts in _by_cell(res["cell_trials"][side]).items():
                     lines.append(f"  cell trials  {side}  {cell}: {counts}")
-            lines.extend(f"  FLAG {flag}" for flag in res["trial_count_flags"])
             for side in ("parent", "change"):
                 for cell, values in _by_cell(res["overflow_calib_ms"][side]).items():
                     lines.append(f"  {OVERFLOW_TRIALS} trials at calib_ms  {side}  {cell}: "
@@ -314,6 +316,11 @@ def render(report: dict) -> str:
                              f"  change {statistics.median(trials['change']):g}")
                 lines.append(line)
             lines.extend(f"  REGRESSION {line}" for line in res["regressions"])
+    for entry in report["unpaired"]:
+        overflow = {cell: _ms(ms) for cell, ms in entry["overflow_calib_ms"].items()}
+        lines.append(f"\n[unpaired] {_unpaired_line(entry)}  trials {entry['trials']}  calib_ms "
+                     f"{_ms(entry['calib_ms'])}  {OVERFLOW_TRIALS} trials at calib_ms {overflow}"
+                     f"  digest {entry['digest']}")
     return "\n".join(lines)
 
 
@@ -334,13 +341,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     lonely = unpaired(parent, change)
-    if lonely:
-        print("\n".join(f"error: {line}" for line in lonely), file=sys.stderr)
-        return 1
+    for entry in lonely:
+        print(f"error: {_unpaired_line(entry)}", file=sys.stderr)
     views = {
         view: {
             w: compare_workload(benchmark[view], parent[trace][w], change[trace][w])
             for w in sorted(set(parent.get(trace, {})) & set(change.get(trace, {})))
+            if set(parent[trace][w]) & set(change[trace][w])
         }
         for view, trace in VIEWS
     }
@@ -357,16 +364,17 @@ def main(argv=None) -> int:
         "seconds": meta["seconds"],
         "machine": {key: meta.get(key) for key in MACHINE_KEYS},
         **views,
+        "unpaired": lonely,
     }
     if args.attach:
         report["attached"] = json.loads(args.attach.read_text())
     print(render(report))
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
-    # A long cell is only a printed FLAG; a changed digest, a failed check or a
-    # regression beyond a bound fails the comparison.
+    # A run without a partner, a changed digest, a failed check or a regression
+    # beyond a bound fails the comparison.
     results = [res for by_workload in views.values() for res in by_workload.values()]
-    broken = any(
+    broken = lonely or any(
         not res["digests_equal"] or not all(res["checks_passed"].values()) or res["regressions"]
         for res in results
     )

@@ -59,10 +59,6 @@ class OddBudget(SubspaceBanditError, ValueError):
     """Split-half estimators need an even attribute budget r >= 2."""
 
 
-class BadAlpha(SubspaceBanditError, ValueError):
-    """Pair-sampling mixing weight outside [0, 1/2]."""
-
-
 class ZeroProbability(SubspaceBanditError, ValueError):
     """Importance weight requested for a zero-probability pair."""
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import DomainSpec
-from .errors import BadAlpha, BadIndex, BadProbabilities, DimMismatch, OddBudget, ZeroProbability
-from .oracles import PROB_TOL, DistributionSpec, observe_block
+from .errors import BadIndex, DimMismatch, OddBudget, ZeroProbability
+from .oracles import DistributionSpec, observe_block
 from .seeding import pinned_cumsum
 
 STEP_CHUNK = 1024  # steps whose random draws a block engine takes at once
@@ -64,8 +64,7 @@ def _check_split_budget(r: int) -> None:
 
 
 def draw_uniform_indices(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
-    """r indices i.i.d. uniform on [0, d), duplicates allowed; r must be even."""
-    _check_split_budget(r)
+    """r indices i.i.d. uniform on [0, d), duplicates allowed."""
     return rng.integers(0, d, size=r)
 
 
@@ -163,34 +162,6 @@ def split_half_sum(
     return total.reshape(d, d)
 
 
-@dataclass(frozen=True, eq=False)
-class PairProbabilities:
-    """Distribution over ordered coordinate pairs (s, q) with a uniform floor.
-
-    Every entry is at least alpha / d^2 and the table sums to 1.
-    """
-
-    table: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        t = self.table
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise DimMismatch(f"pair table must be square, got {t.shape}")
-        total = float(t.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise BadProbabilities(f"pair probabilities sum to {total:.15g}, not 1")
-        floor = self.alpha / t.size
-        if float(t.min()) < floor - 1e-15:
-            raise BadProbabilities(
-                f"pair probability {t.min():.3g} below the mixture floor {floor:.3g}"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[0]
-
-
 def pair_price(w_s, w_q, d: int, alpha: float, k: int):
     """p_{s,q} = (1-alpha)(W_ss + W_qq)/(2dk) + alpha/d^2 from W_ss = ``w_s``, W_qq = ``w_q``.
 
@@ -208,27 +179,24 @@ def importance_weight(s, q, prod, p):
     return prod / (p * (1 + (s != q)))
 
 
-def mbeg_pair_probs(w, alpha: float, k: int) -> PairProbabilities:
-    """Pair-sampling table: ``pair_price`` at every ordered pair (s, q).
+def mbeg_pair_probs(w, alpha: float, k: int) -> np.ndarray:
+    """The (d, d) pair-sampling table: ``pair_price`` at every ordered pair (s, q).
 
-    ``w`` may be a square matrix or its diagonal.  Mixing
-    with the uniform distribution keeps every pair's probability at least
-    alpha/d^2; since the diagonal sums to k, the table sums to 1.  alpha = 0
-    is accepted for the bare diagonal-weighted table (the learner itself
-    always mixes with alpha > 0).
+    ``w`` may be a square matrix or its diagonal.  Mixing with the uniform
+    distribution keeps every pair's probability at least alpha/d^2; since a
+    hull element's diagonal sums to k, the table sums to 1.  alpha = 0 gives
+    the bare diagonal-weighted table (the learner itself always mixes with
+    alpha > 0).
     """
     arr = np.asarray(w, dtype=float)
     diag = np.diagonal(arr).astype(float) if arr.ndim == 2 else arr
-    if not 0 <= alpha <= 0.5:
-        raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
-    table = pair_price(diag[:, None], diag[None, :], diag.size, alpha, k)
-    return PairProbabilities(table=table, alpha=alpha)
+    return pair_price(diag[:, None], diag[None, :], diag.size, alpha, k)
 
 
-def draw_pair(probs: PairProbabilities, rng: np.random.Generator) -> tuple[int, int]:
-    """Ordered pair (s, q) with the table's law; zero-probability pairs never occur."""
-    pos = int(pinned_cumsum(probs.table.ravel()).searchsorted(rng.random(), "right"))
-    return divmod(pos, probs.dim)
+def draw_pair(table, rng: np.random.Generator) -> tuple[int, int]:
+    """Ordered pair (s, q) drawn from a square ``table``; zero-probability pairs never occur."""
+    pos = int(pinned_cumsum(table.ravel()).searchsorted(rng.random(), "right"))
+    return divmod(pos, table.shape[0])
 
 
 class MbegPairSampler:
@@ -252,8 +220,6 @@ class MbegPairSampler:
     __slots__ = ("_d", "_k", "_alpha", "_keys", "_uniform", "_weighted")
 
     def __init__(self, u, d: int, alpha: float, k: int):
-        if not 0 <= alpha <= 0.5:
-            raise BadAlpha(f"alpha must lie in [0, 1/2], got {alpha}")
         u = np.asarray(u, dtype=float)
         self._d, self._k, self._alpha = d, k, alpha
         self._keys = u[:, 1:3]

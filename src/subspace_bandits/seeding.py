@@ -35,10 +35,12 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def pinned_cumsum(probs) -> np.ndarray:
-    """The inverse-CDF table of a probability vector: its cumulative sums, the last pinned to 1.0.
+    """The inverse-CDF table of a probability vector: its cumulative sums, the last run at 1.0.
 
-    For any uniform u in [0, 1), ``searchsorted(c, u, "right")`` is then a valid index.
+    The last run is the sums equal to the total: the last positive entry's and
+    every one after it.  For any uniform u in [0, 1), ``searchsorted(c, u,
+    "right")`` is then a valid index, and never that of a trailing zero entry.
     """
     c = np.cumsum(probs)
-    c[-1] = 1.0
+    c[c >= c[-1]] = 1.0
     return c

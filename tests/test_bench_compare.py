@@ -92,6 +92,7 @@ def test_pairs_runs_by_seed_and_reports_spread(tmp_path, bench_compare, capsys):
     assert res["digests_equal"] is True
     assert res["checks_passed"] == {"parent": True, "change": True}
     assert report["machine"]["nproc"] == 2
+    assert report["unpaired"] == []
     # a metric the traced runs do not report is left out; a zero base has no ratio
     layers = report["per_layer"]["mbeg-d16"]["metrics"]
     assert list(layers) == ["trials_per_s", "learners.mbgd.self_ms"]
@@ -160,7 +161,7 @@ def test_no_common_workload_is_an_error(tmp_path, bench_compare):
     assert bench_compare.main([str(tmp_path / "parent"), str(change)]) == 1
 
 
-def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_compare, capsys):
+def test_reports_cell_trials_and_the_trial_counts_beside_peak_rss(tmp_path, bench_compare, capsys):
     parent, change = tmp_path / "parent", tmp_path / "change"
     change.mkdir()
     benchmark = dict(BENCHMARK, end_to_end=BENCHMARK["end_to_end"] + [
@@ -168,7 +169,6 @@ def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_co
     (change / "BENCHMARK.json").write_text(json.dumps(benchmark))
 
     def cells(n):
-        # a starved cell has no mean-excess check, so its length is not flagged
         return [("mbgd r=2", n, True), ("starved", 2 * n, False)]
 
     for seed, (old, new) in {1: (300, 950), 2: (310, 880)}.items():
@@ -180,10 +180,7 @@ def test_reports_cell_trials_and_flags_long_mean_excess_cells(tmp_path, bench_co
     assert res["cell_trials"]["parent"] == [
         {"mbgd r=2": 300, "starved": 600}, {"mbgd r=2": 310, "starved": 620}]
     assert res["cell_trials"]["change"][0] == {"mbgd r=2": 950, "starved": 1900}
-    assert len(res["trial_count_flags"]) == 1
-    assert "change seed 1: cell 'mbgd r=2' holds 950 trials > 900" in res["trial_count_flags"][0]
     printed = capsys.readouterr().out
-    assert "FLAG change seed 1: cell 'mbgd r=2'" in printed
     assert "cell trials  change  mbgd r=2: [950, 880]" in printed
     rss = next(line for line in printed.splitlines() if line.strip().startswith("peak_rss_mb"))
     assert rss.endswith("trials (median) parent 125  change 225")
@@ -211,7 +208,7 @@ def test_reports_the_calibration_time_at_which_each_mean_excess_cell_overflows(
     printed = capsys.readouterr().out
     assert "1030 trials at calib_ms  parent  mbeg d=16: ['0.45', 'n/a']" in printed
     assert "1030 trials at calib_ms  change  mbeg d=16: ['0.6', '0.25']" in printed
-    assert "FLAG change seed 1: cell 'mbeg d=16' holds 1030 trials" in printed
+    assert "FLAG" not in printed  # the overflow calib_ms is the one predictor of the crash
 
 
 def test_one_sided_runs_fail_the_comparison_and_are_named(tmp_path, bench_compare, capsys):
@@ -220,13 +217,33 @@ def test_one_sided_runs_fail_the_comparison_and_are_named(tmp_path, bench_compar
     (change / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
     for seed in (101, 102):
         write_run(parent, "mbeg-d16", seed, 10.0, f"d{seed}")
-        write_run(change, "mbeg-d16", seed, 10.0, f"d{seed}")
-    write_run(change, "mbeg-d16", 103, 10.0, "d103")  # the parent's run crashed
+        write_run(change, "mbeg-d16", seed, 10.0 + seed - 100, f"d{seed}")
+    # the parent's run crashed in the tail overflow: its partner is kept, not lost
+    write_run(change, "mbeg-d16", 103, 10.0, "d103", cells=[("mbeg d=16", 1000, True)],
+              calib_ms=0.618)
     write_run(parent, "split-half", 1, 5.0, "a", trace=1)  # a whole workload on one side
-    assert bench_compare.main([str(parent), str(change)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: split-half seed 1 trace 1: a run in the parent checkout only",
-                   "error: mbeg-d16 seed 103 trace 0: a run in the change checkout only"]
+    out = tmp_path / "BENCH.json"
+    assert bench_compare.main([str(parent), str(change), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: split-half seed 1 trace 1: a run in the parent checkout only",
+        "error: mbeg-d16 seed 103 trace 0: a run in the change checkout only"]
+    report = json.loads(out.read_text())
+    res = report["end_to_end"]["mbeg-d16"]  # the paired seeds are compared as before
+    assert res["seeds"] == [101, 102]
+    assert res["metrics"]["trials_per_s"]["change"]["values"] == [11.0, 12.0]
+    assert res["digests_equal"] is True
+    assert report["per_layer"] == {}
+    assert report["unpaired"] == [
+        {"side": "parent", "workload": "split-half", "seed": 1, "trace": 1, "trials": 125,
+         "calib_ms": None, "overflow_calib_ms": {}, "digest": "a"},
+        {"side": "change", "workload": "mbeg-d16", "seed": 103, "trace": 0, "trials": 250,
+         "calib_ms": 0.618, "overflow_calib_ms": {"mbeg d=16": pytest.approx(0.6)},
+         "digest": "d103"},
+    ]
+    assert ("[unpaired] mbeg-d16 seed 103 trace 0: a run in the change checkout only  "
+            "trials 250  calib_ms 0.618  1030 trials at calib_ms {'mbeg d=16': '0.6'}  "
+            "digest d103") in captured.out
 
 
 def _git_checkout(path, head, ref_file=None, packed=None):

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_bandits.domain import DomainSpec
-from subspace_bandits.errors import BadAlpha, BadIndex, DimMismatch, OddBudget, ZeroProbability
+from subspace_bandits.errors import BadIndex, DimMismatch, OddBudget, ZeroProbability
 from subspace_bandits.estimators import (
     MbegPairSampler,
-    PairProbabilities,
     draw_pair,
     draw_uniform_indices,
     estimate_asym,
@@ -55,12 +54,6 @@ class TestDrawUniformIndices:
     def test_single_coordinate_domain(self):
         idx = draw_uniform_indices(1, 2, make_rng(0))
         assert tuple(idx) == (0, 0)
-
-    def test_odd_budget_rejected(self):
-        with pytest.raises(OddBudget):
-            draw_uniform_indices(4, 3, make_rng(0))
-        with pytest.raises(OddBudget):
-            draw_uniform_indices(4, 0, make_rng(0))
 
     def test_chi_squared_uniformity(self):
         # 1e5 draws of r=2 over d=8; chi^2 threshold for df=7 at the 1e-3
@@ -279,12 +272,11 @@ class TestSplitHalfSum:
 class TestPairProbabilities:
     def test_uniform_at_initializer(self):
         d, k = 4, 2
-        probs = mbeg_pair_probs((k / d) * np.eye(d), alpha=0.3, k=k)
-        assert np.allclose(probs.table, np.full((d, d), 1 / d**2))
+        table = mbeg_pair_probs((k / d) * np.eye(d), alpha=0.3, k=k)
+        assert np.allclose(table, np.full((d, d), 1 / d**2))
 
     def test_hand_example_alpha_zero(self):
-        probs = mbeg_pair_probs(np.diag([1.0, 0.0, 0.0]), alpha=0.0, k=1)
-        t = probs.table
+        t = mbeg_pair_probs(np.diag([1.0, 0.0, 0.0]), alpha=0.0, k=1)
         assert t[0, 0] == pytest.approx(1 / 3)
         for q in (1, 2):
             assert t[0, q] == pytest.approx(1 / 6)
@@ -293,56 +285,82 @@ class TestPairProbabilities:
                 assert t[q, q2] == 0.0
         assert t.sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_mixture_floor(self):
-        rng = make_rng(4)
-        for alpha in (0.1, 0.5):
-            lam = random_hull_spectrum(rng, 5, 2)
-            probs = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=2)
-            assert probs.table.min() >= alpha / 25 - 1e-15
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.5])
+    def test_mixture_floor(self, d, alpha):
+        # a hull element's diagonal sums to k, so the table sums to 1 above its floor
+        rng = make_rng(4 + d)
+        for k in (1, 2):
+            for diag in _hull_diagonals(rng, d, k, 5):
+                table = mbeg_pair_probs(diag, alpha=alpha, k=k)
+                assert table.shape == (d, d)
+                assert table.min() >= alpha / d**2 - 1e-15
+                assert abs(table.sum() - 1) <= 1e-12
 
-    def test_rejects_alpha_above_half(self):
-        with pytest.raises(BadAlpha):
-            mbeg_pair_probs(np.eye(2) * 0.5, alpha=0.6, k=1)
+
+class _FixedUniforms:
+    """Stands in for a generator whose next ``random(n)``, or ``random()``, returns the uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms, dtype=float)
+
+    def random(self, n=None):
+        if n is None:
+            return float(self.uniforms.item())
+        assert n == self.uniforms.size
+        return self.uniforms.copy()
 
 
 class TestDrawPair:
     def test_uniform_frequencies(self):
-        probs = PairProbabilities(table=np.full((2, 2), 0.25), alpha=0.5)
+        table = np.full((2, 2), 0.25)
         rng = make_rng(5)
         counts = np.zeros((2, 2))
         n = 100_000
         for _ in range(n):
-            s, q = draw_pair(probs, rng)
+            s, q = draw_pair(table, rng)
             counts[s, q] += 1
         assert np.max(np.abs(counts / n - 0.25)) < 0.01
 
     def test_point_mass_table(self):
         table = np.zeros((3, 3))
         table[1, 2] = 1.0
-        probs = PairProbabilities(table=table, alpha=0.0)
         rng = make_rng(6)
-        assert all(draw_pair(probs, rng) == (1, 2) for _ in range(50))
+        assert all(draw_pair(table, rng) == (1, 2) for _ in range(50))
 
     def test_zero_rows_never_drawn(self):
         table = np.zeros((3, 3))
         table[0, 0] = 0.5
         table[2, 2] = 0.5
-        probs = PairProbabilities(table=table, alpha=0.0)
         rng = make_rng(7)
         for _ in range(200):
-            s, q = draw_pair(probs, rng)
+            s, q = draw_pair(table, rng)
             assert (s, q) in {(0, 0), (2, 2)}
 
-
-class _FixedUniforms:
-    """Stands in for a generator whose next ``random(n)`` returns the given uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms = np.asarray(uniforms, dtype=float)
-
-    def random(self, n):
-        assert n == self.uniforms.size
-        return self.uniforms.copy()
+    @pytest.mark.parametrize("d,k", [(2, 1), (3, 1), (5, 2), (16, 3)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_each_cdf_interval_maps_to_its_cell(self, d, k, alpha):
+        # Cell j holds the uniforms [c_{j-1}, c_j) of the running sums c: its
+        # midpoint maps to j, and no end of an interval (nor the largest
+        # uniform) maps to a zero cell.  At alpha = 0 the sparse diagonals
+        # leave zero cells, trailing ones among them.
+        rng = make_rng(70 + d)
+        sparse = rng.random((4, d)) * (rng.random((4, d)) < 0.5)
+        sparse[:, 0] += 0.1
+        diags = _hull_diagonals(rng, d, k, 3) + list(k * sparse / sparse.sum(axis=1)[:, None])
+        diags.append(np.eye(d)[0] * k)
+        for diag in diags:
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k)
+            flat = table.ravel()
+            c = np.cumsum(flat)
+            lo = np.concatenate([[0.0], c[:-1]])
+            for j in np.flatnonzero(flat > 0):
+                mid = (lo[j] + c[j]) / 2
+                if lo[j] < mid < c[j]:  # a cell too small to hold a midpoint has none
+                    assert draw_pair(table, _FixedUniforms(mid)) == divmod(j, d)
+            for u in [*c[c < 1.0], 0.0, np.nextafter(1.0, 0.0)]:
+                s, q = draw_pair(table, _FixedUniforms(u))
+                assert table[s, q] > 0, (u, s, q)
 
 
 def _hull_diagonals(rng, d, k, count):
@@ -379,14 +397,14 @@ class TestDrawMbegPair:
             s, q = MbegPairSampler(np.array(mids), d, alpha, k).coordinates(diag.cumsum())
             law = np.zeros((d, d))
             np.add.at(law, (s, q), masses)
-            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k)
             assert np.max(np.abs(law - table)) <= 1e-15
 
     def test_frequencies_match_table(self):
         rng = make_rng(44)
         d, k, alpha = 3, 1, 0.3
         diag = _hull_diagonals(rng, d, k, 1)[0]
-        table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+        table = mbeg_pair_probs(diag, alpha=alpha, k=k)
         n = 60_000
         s, q = MbegPairSampler(rng.random((n, 3)), d, alpha, k).coordinates(diag.cumsum())
         counts = np.zeros((d, d))
@@ -400,7 +418,7 @@ class TestDrawMbegPair:
         rng = make_rng(45 + k)
         d = 6
         for diag in _hull_diagonals(rng, d, k, 5):
-            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k)
             sampler = MbegPairSampler(rng.random((40, 3)), d, alpha, k)
             s, q = sampler.coordinates(diag.cumsum())
             assert np.array_equal(sampler.price(diag, s, q), table[s, q])
@@ -452,14 +470,10 @@ class TestDrawMbegPair:
             runs = [sampler.coordinates(cum, a, b) for a, b in zip(cuts, cuts[1:])]
             assert np.array_equal(np.concatenate([run[0] for run in runs]), s)
             assert np.array_equal(np.concatenate([run[1] for run in runs]), q)
-            table = mbeg_pair_probs(diag, alpha=alpha, k=k).table
+            table = mbeg_pair_probs(diag, alpha=alpha, k=k)
             hit_prices = [sampler.price(diag, s_j, q_j) for s_j, q_j in zip(s.tolist(), q.tolist())]
             assert np.array(hit_prices).tobytes() == table[s, q].tobytes()
             assert sampler.price(diag, s, q).tobytes() == table[s, q].tobytes()
-
-    def test_rejects_alpha_above_half(self):
-        with pytest.raises(BadAlpha):
-            MbegPairSampler(np.full((1, 3), 0.5), 2, 0.6, 1)
 
 
 class TestMbegEstimate:
@@ -505,11 +519,11 @@ class TestMbegEstimate:
         for _ in range(10):
             lam = random_hull_spectrum(rng, d, 1)
             alpha = float(rng.uniform(0.05, 0.5))
-            probs = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=1)
+            table = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=1)
             total = np.zeros((d, d))
             for s in range(d):
                 for q in range(d):
-                    p = float(probs.table[s, q])
+                    p = float(table[s, q])
                     total += p * mbeg_estimate(s, q, x[s], x[q], p, d=d).to_dense()
             assert np.max(np.abs(total - np.outer(x, x))) <= 1e-10
 
@@ -520,12 +534,12 @@ class TestMbegEstimate:
         d, k, alpha = 5, 2, 0.25
         for _ in range(200):
             lam = random_hull_spectrum(rng, d, k)
-            probs = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=k)
-            s, q = draw_pair(probs, rng)
+            table = mbeg_pair_probs(np.diag(lam), alpha=alpha, k=k)
+            s, q = draw_pair(table, rng)
             x_s, x_q = rng.uniform(-1, 1, size=2)
             if s == q:
                 x_q = x_s
-            est = mbeg_estimate(s, q, x_s, x_q, float(probs.table[s, q]), d=d)
+            est = mbeg_estimate(s, q, x_s, x_q, float(table[s, q]), d=d)
             norm = spectral_norm(est.to_dense())
             if s == q:
                 assert norm <= d**2 / alpha + 1e-9

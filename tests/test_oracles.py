@@ -58,6 +58,18 @@ class TestPinnedCumsum:
         assert np.array_equal(rows, np.eye(10)[9:])
         assert np.array_equal(observe(dist, (9,), UniformQueue([u])), [1.0])
 
+    def test_a_trailing_zero_entry_is_never_drawn(self):
+        # the (1, 0, 0) diagonal's pair table at alpha = 0: the last positive
+        # entry's sum is 1 - 2^-53, the largest uniform; pinning only the last
+        # sum would hand that uniform to the zero entry after it
+        probs = np.array([1 / 3, 1 / 6, 1 / 6, 1 / 6, 0, 0, 1 / 6, 0, 0])
+        u = np.nextafter(1.0, 0.0)
+        assert np.cumsum(probs)[6] == u
+        table = pinned_cumsum(probs)
+        assert np.array_equal(table[6:], [1.0, 1.0, 1.0])
+        assert np.array_equal(table[:6], np.cumsum(probs)[:6])
+        assert table.searchsorted(u, "right") == 6
+
 
 class TestObserve:
     def test_point_mass_values(self):

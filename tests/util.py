@@ -268,7 +268,8 @@ def dense_mbeg_replay(dist, cfg, trace):
     documented order (``rng.random(3)`` for the pair, then the oracle's
     uniform), the estimate from ``mbeg_estimate``, and the update
     exp(log W + eta C_hat) from ``sym_eig`` with its canonical basis.  The
-    table and W are built once per iterate.  A step whose replayed estimate
+    table and W are built once per iterate, and each table is checked to sum
+    to 1 within 1e-12.  A step whose replayed estimate
     is exactly zero keeps the iterate: its update is exp(log W) = W followed
     by the projection, so keeping it is exact when w is a fixed point of
     ``entropic_project``, which is checked the first time an iterate is kept.
@@ -291,7 +292,8 @@ def dense_mbeg_replay(dist, cfg, trace):
     for (s, q), v_traced, traced in zip(trace.indices.tolist(), trace.estimate, trace.hull):
         if new_iterate:
             w_now = (basis * w) @ basis.T
-            table = mbeg_pair_probs((basis**2) @ w, alpha, k=k).table
+            table = mbeg_pair_probs((basis**2) @ w, alpha, k=k)
+            assert abs(table.sum() - 1) <= 1e-12, table.sum()
             stats = (abs(float(w.sum()) - k), float(w.min()), float(w.max()))
             new_iterate = kept = False
         w_bar += w_now
